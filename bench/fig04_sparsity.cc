@@ -52,11 +52,15 @@ analyze(Workload &workload, int pq_subspaces, int entries)
     idx_t queries_done = 0;
 
     const idx_t q_count = std::min<idx_t>(workload.queries().rows(), 32);
+    const auto results = index.search(
+        FloatMatrixView(workload.queries().row(0), q_count,
+                        workload.queries().cols()),
+        100);
     FloatMatrix lut;
     for (idx_t qi = 0; qi < q_count; ++qi) {
-        std::vector<std::vector<std::uint32_t>> per_entry_usage;
-        index.searchOneRecordingUsage(workload.queries().row(qi), 100,
-                                      &per_entry_usage);
+        const auto per_entry_usage =
+            countEntryUsage(index.codes(), entries,
+                            results[static_cast<std::size_t>(qi)]);
         index.pq().computeLut(workload.metric(),
                               workload.queries().row(qi), lut);
 

@@ -17,9 +17,12 @@
 #include "bench_common.h"
 #include "common/distance.h"
 #include "common/stats.h"
+#include "core/distance_calc.h"
 #include "core/juno_index.h"
+#include "core/selective_lut.h"
 #include "harness/reporter.h"
 #include "harness/workload.h"
+#include "rtcore/device.h"
 
 using namespace juno;
 
@@ -39,6 +42,14 @@ main()
     params.max_training_points = 10000;
     params.policy.ref_samples = 4000;
     JunoIndex index(workload.metric(), workload.base(), params);
+    // Stages B and C run on bench-owned components over the index's
+    // trained state: the bench needs the LUT and the per-point scores,
+    // which search() folds into a top-k.
+    index.setSearchMode(SearchMode::kRewardPenalty);
+    rt::RtDevice device;
+    SelectiveLutBuilder builder(index.junoScene(), index.thresholdPolicy(),
+                                index.ivf(), device);
+    DistanceCalculator calc(index.ivf(), index.interestIndex());
 
     // Percentile buckets of the true distance within the probed pool.
     const char *bucket_names[4] = {"top 0.1%", "top 1%", "top 10%",
@@ -49,8 +60,7 @@ main()
     for (idx_t qi = 0; qi < workload.queries().rows(); ++qi) {
         const float *q = workload.queries().row(qi);
         const auto probes = index.probe(q);
-        index.setSearchMode(SearchMode::kRewardPenalty);
-        const auto lut = index.buildLut(q, probes);
+        const auto lut = builder.build(q, probes, index.lutParams());
 
         // Exact distances of every point in the probed clusters.
         std::vector<Neighbor> exact;
@@ -79,7 +89,7 @@ main()
         // Hit-count scores of every touched point, both modes.
         auto collect = [&](SearchMode mode, RunningStat *sink) {
             for (std::size_t p = 0; p < probes.size(); ++p) {
-                const auto scores = index.calculator().scoreCluster(
+                const auto scores = calc.scoreCluster(
                     workload.metric(), mode, probes, p, lut);
                 for (const auto &nb : scores) {
                     const auto it = bucket_of.find(nb.id);

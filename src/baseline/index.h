@@ -143,12 +143,13 @@ class AnnIndex {
      */
     virtual void saveSections(SnapshotWriter &writer) const;
 
-    StageTimers timers_;
-
   private:
     /** Applies SearchOptions::memory_budget_bytes (env fallback). */
     void applyMemoryBudget(std::int64_t requested);
 
+    /** Filled only through engine_'s locked sink; cleared by
+     * resetStageTimers(). */
+    StageTimers timers_;
     QueryEngine engine_;
 };
 

@@ -104,15 +104,6 @@ class IvfPqIndex : public AnnIndex {
     std::vector<Neighbor> probe(const float *query, idx_t nprobs,
                                 VisitedSet &visited) const;
 
-    /**
-     * Searches a single query and optionally reports which (cluster,
-     * subspace, entry) cells the returned top-k actually addressed.
-     * Used by the Fig. 3(b)/4/5 sparsity characterisation benches.
-     */
-    std::vector<Neighbor> searchOneRecordingUsage(
-        const float *query, idx_t k,
-        std::vector<std::vector<std::uint32_t>> *entry_usage) const;
-
   protected:
     void searchChunk(const SearchChunk &chunk, SearchContext &ctx) override;
     void saveSections(SnapshotWriter &writer) const override;
@@ -129,7 +120,7 @@ class IvfPqIndex : public AnnIndex {
     void buildLut(const float *query, cluster_t cluster, FloatMatrix &lut,
                   float &base, std::vector<float> &residual) const;
 
-    /** Caller-owned scan scratch (per search worker / legacy call). */
+    /** Per-search-worker scan scratch. */
     struct ScanScratch {
         std::vector<float> scores;
         QuantizedLut qlut;
@@ -170,8 +161,6 @@ class IvfPqIndex : public AnnIndex {
      *  - streaming float scan over the interleaved blocks (bitwise
      *    identical to the legacy gather) otherwise;
      *  - the legacy id-gather kernel when use_interleaved is off.
-     * Both the batched searchChunk() path and the legacy
-     * searchOneRecordingUsage() path funnel through this one helper.
      */
     /**
      * @p pinned substitutes the list's cached heap copy for the

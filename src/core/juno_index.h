@@ -77,11 +77,9 @@ class JunoIndex : public AnnIndex {
               const JunoParams &params);
 
     /**
-     * Restores an index from @p path. Accepts both the unified
-     * snapshot container (AnnIndex::save()/openIndex()) and, as a
-     * deprecated migration shim, the legacy "JUNOIDX1" format earlier
-     * releases wrote (loads with a one-time warning; re-save to
-     * upgrade).
+     * Restores a JUNO index from the snapshot container at @p path
+     * (written by AnnIndex::save()); rejects files that hold another
+     * index type (use openIndex() for those).
      */
     static std::unique_ptr<JunoIndex> load(const std::string &path);
 
@@ -97,12 +95,6 @@ class JunoIndex : public AnnIndex {
     Metric metric() const override { return metric_; }
     idx_t size() const override { return num_points_; }
     idx_t dim() const override { return dim_; }
-
-    /**
-     * Single-query search (no pipelining). Uses the index-owned solo
-     * scratch; call from one thread at a time.
-     */
-    std::vector<Neighbor> searchOne(const float *query, idx_t k);
 
     // ---- Search-time knobs (no rebuild required) ----
     void setNprobs(idx_t nprobs);
@@ -133,12 +125,12 @@ class JunoIndex : public AnnIndex {
      * the configured nprobs down per batch). */
     std::vector<Neighbor> probe(const float *query, idx_t nprobs) const;
 
-    /** RT pass (stage B) for one query against given probes. */
-    SparseLut buildLut(const float *query,
-                       const std::vector<Neighbor> &probes) const;
-
-    /** Scoring stage (stage C); exposed for the analysis benches. */
-    DistanceCalculator &calculator() { return *calc_; }
+    /**
+     * Gate parameters of the RT pass (stage B) under the current
+     * search knobs, for benches that drive SelectiveLutBuilder over
+     * the component accessors above.
+     */
+    SelectiveLutParams lutParams() const;
 
   protected:
     /**
@@ -156,13 +148,8 @@ class JunoIndex : public AnnIndex {
     /** For load(): members are filled by the loader. */
     JunoIndex() : metric_(Metric::kL2) {}
 
-    /** Legacy "JUNOIDX1" single-stream loader (migration shim). */
-    static std::unique_ptr<JunoIndex> loadLegacy(const std::string &path);
-
     /** Rebuilds the derived structures (interest index, scene, ...). */
     void finishConstruction();
-
-    SelectiveLutParams lutParams() const;
 
     /**
      * Issues WILLNEED madvise hints for the probed clusters'
@@ -192,18 +179,12 @@ class JunoIndex : public AnnIndex {
     DensityMap density_;
     ThresholdPolicy policy_;
     JunoScene scene_;
-    mutable rt::RtDevice device_;
-    std::unique_ptr<SelectiveLutBuilder> lut_builder_;
-    std::unique_ptr<DistanceCalculator> calc_;
-    /** Reused per-query sparse LUT (hot-path allocation avoidance). */
-    SparseLut lut_scratch_;
     /**
-     * Guards device_ stat merges from parallel search workers.
-     * device_ itself stays unannotated: the single-query legacy paths
-     * (probe()/buildLut()) drive it lock-free by documented contract
-     * (one caller), a conditional discipline the static analysis
-     * cannot express without false positives.
+     * Canonical RT device: holds the execution mode search workers
+     * copy and the traversal counters they merge in after each chunk.
      */
+    rt::RtDevice device_;
+    /** Serialises the workers' stat merges into device_. */
     Mutex stats_mutex_;
 };
 

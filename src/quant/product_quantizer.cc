@@ -182,4 +182,19 @@ ProductQuantizer::computeLut(Metric metric, const float *vec,
     }
 }
 
+std::vector<std::vector<std::uint32_t>>
+countEntryUsage(const PQCodes &codes, int entries,
+                const std::vector<Neighbor> &neighbours)
+{
+    std::vector<std::vector<std::uint32_t>> usage(
+        static_cast<std::size_t>(codes.num_subspaces),
+        std::vector<std::uint32_t>(static_cast<std::size_t>(entries), 0));
+    for (const auto &nb : neighbours) {
+        const entry_t *pc = codes.row(nb.id);
+        for (int s = 0; s < codes.num_subspaces; ++s)
+            ++usage[static_cast<std::size_t>(s)][pc[s]];
+    }
+    return usage;
+}
+
 } // namespace juno

@@ -22,6 +22,7 @@
 #include "common/logging.h"
 #include "common/matrix.h"
 #include "common/serialize.h"
+#include "common/topk.h"
 #include "common/types.h"
 
 namespace juno {
@@ -95,6 +96,15 @@ struct PQCodes {
     const entry_t *view_ = nullptr;
     std::shared_ptr<const void> keepalive_;
 };
+
+/**
+ * Per-subspace usage of @p entries codebook entries by a result list:
+ * out[s][e] counts the @p neighbours whose code in subspace s is e
+ * (the Fig. 3(b) heatmap row of one query).
+ */
+std::vector<std::vector<std::uint32_t>>
+countEntryUsage(const PQCodes &codes, int entries,
+                const std::vector<Neighbor> &neighbours);
 
 /** Trained product quantizer. */
 class ProductQuantizer {

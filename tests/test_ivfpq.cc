@@ -119,9 +119,9 @@ TEST(IvfPq, UsageRecordingCountsTopKEncodings)
     const auto ds = clusteredData();
     auto params = smallParams();
     IvfPqIndex index(Metric::kL2, ds.base.view(), params);
-    std::vector<std::vector<std::uint32_t>> usage;
-    const auto result =
-        index.searchOneRecordingUsage(ds.queries.row(0), 50, &usage);
+    const auto result = index.search(ds.queries.view(), 50)[0];
+    const auto usage =
+        countEntryUsage(index.codes(), params.pq_entries, result);
     ASSERT_EQ(usage.size(), 8u);
 
     // Total usage per subspace equals the number of returned points.
@@ -142,8 +142,9 @@ TEST(IvfPq, UsageIsSparse)
     params.pq_entries = 64;
     params.nprobs = 24;
     IvfPqIndex index(Metric::kL2, ds.base.view(), params);
-    std::vector<std::vector<std::uint32_t>> usage;
-    index.searchOneRecordingUsage(ds.queries.row(0), 100, &usage);
+    const auto usage = countEntryUsage(
+        index.codes(), params.pq_entries,
+        index.search(ds.queries.view(), 100)[0]);
     double used_fraction = 0.0;
     for (const auto &row : usage) {
         int used = 0;
@@ -154,16 +155,6 @@ TEST(IvfPq, UsageIsSparse)
     }
     used_fraction /= static_cast<double>(usage.size());
     EXPECT_LT(used_fraction, 0.6);
-}
-
-TEST(IvfPq, SearchOneMatchesBatchSearch)
-{
-    const auto ds = clusteredData();
-    IvfPqIndex index(Metric::kL2, ds.base.view(), smallParams());
-    const auto batch = index.search(ds.queries.view(), 10);
-    const auto one = index.searchOneRecordingUsage(ds.queries.row(0), 10,
-                                                   nullptr);
-    EXPECT_EQ(batch[0], one);
 }
 
 TEST(IvfPq, RejectsBadConfigs)

@@ -44,7 +44,10 @@ request(const Dataset &ds, idx_t k, int threads, idx_t batch_size = 0)
     return req;
 }
 
-/** threads=4 must return bitwise-identical lists to threads=1. */
+/**
+ * threads=4, chunked and one-query-per-request searches must return
+ * bitwise-identical lists to threads=1.
+ */
 void
 expectDeterministic(AnnIndex &index, const Dataset &ds, idx_t k)
 {
@@ -57,6 +60,15 @@ expectDeterministic(AnnIndex &index, const Dataset &ds, idx_t k)
     const auto chunked = index.search(request(ds, k, 4, 3));
     for (std::size_t q = 0; q < serial.size(); ++q)
         EXPECT_EQ(serial[q], chunked[q]) << "query " << q;
+    // Nor may the batch around a query: each row searched as its own
+    // 1-row request matches its batch row.
+    for (idx_t q = 0; q < ds.queries.rows(); ++q) {
+        const auto one = index.search(
+            FloatMatrixView(ds.queries.row(q), 1, ds.queries.cols()), k);
+        ASSERT_EQ(one.size(), 1u);
+        EXPECT_EQ(serial[static_cast<std::size_t>(q)], one[0])
+            << "query " << q;
+    }
 }
 
 TEST(SearchEngine, FlatDeterministicAcrossThreads)
