@@ -49,7 +49,8 @@ main()
     rt::RtDevice device;
     SelectiveLutBuilder builder(index.junoScene(), index.thresholdPolicy(),
                                 index.ivf(), device);
-    DistanceCalculator calc(index.ivf(), index.interestIndex());
+    DistanceCalculator calc(index.ivf(), index.interestIndex(),
+                            index.interleaved());
 
     // Percentile buckets of the true distance within the probed pool.
     const char *bucket_names[4] = {"top 0.1%", "top 1%", "top 10%",

@@ -49,8 +49,7 @@ IvfPqIndex::IvfPqIndex(Metric metric, FloatMatrixView points,
     // inverted list's codes in the interleaved fast-scan layout so the
     // online scan streams instead of gathering rows through ids.
     codes_ = pq_.encode(residuals.view());
-    if (params.use_interleaved)
-        interleaved_.build(ivf_.lists(), codes_, pq_.entries());
+    interleaved_.build(ivf_.lists(), codes_, pq_.entries());
 
     if (params.use_hnsw_router) {
         router_ = std::make_unique<Hnsw>();
@@ -86,7 +85,6 @@ IvfPqIndex::spec() const
     spec.setInt("ef", hnsw_ef_search_);
     spec.setInt("seed", static_cast<long>(params_.seed));
     spec.setInt("train", params_.max_training_points);
-    spec.setBool("interleaved", params_.use_interleaved);
     return spec.toString();
 }
 
@@ -107,7 +105,7 @@ IvfPqIndex::saveSections(SnapshotWriter &writer) const
     meta.writePod<std::uint64_t>(params_.seed);
     meta.writePod<std::int64_t>(params_.max_training_points);
     meta.writePod<std::uint8_t>(router_ != nullptr ? 1 : 0);
-    meta.writePod<std::uint8_t>(interleaved_.built() ? 1 : 0);
+    meta.writePod<std::uint8_t>(1); // interleaved layout present
     meta.writePod<std::int64_t>(codes_.num_points);
     meta.writePod<std::int32_t>(codes_.num_subspaces);
 
@@ -115,8 +113,7 @@ IvfPqIndex::saveSections(SnapshotWriter &writer) const
     pq_.save(writer.section("pq"));
     writer.addBlob("codes", codes_.data(),
                    codes_.count() * sizeof(entry_t));
-    if (interleaved_.built())
-        interleaved_.save(writer, "ileav.");
+    interleaved_.save(writer, "ileav.");
     if (router_ != nullptr)
         router_->saveGraph(writer, "router.");
 }
@@ -159,7 +156,6 @@ IvfPqIndex::open(SnapshotReader &reader)
                  what << ": implausible code plane (corrupt file)");
     index->params_.nprobs = index->nprobs_;
     index->params_.use_hnsw_router = has_router;
-    index->params_.use_interleaved = has_interleaved;
     index->params_.hnsw_ef_search = index->hnsw_ef_search_;
 
     auto ivf_stream = reader.stream("ivf");
@@ -186,6 +182,11 @@ IvfPqIndex::open(SnapshotReader &reader)
                          index->interleaved_.subspaces() ==
                              index->codes_.num_subspaces,
                      what << ": interleaved layout shape mismatch");
+    } else {
+        // Written by a build that could skip the layout: lay the
+        // loaded codes out now (the same build the constructor runs).
+        index->interleaved_.build(index->ivf_.lists(), index->codes_,
+                                  index->pq_.entries());
     }
     if (has_router) {
         index->router_ = std::make_unique<Hnsw>();
@@ -318,7 +319,7 @@ IvfPqIndex::scanList(cluster_t cluster, const FloatMatrix &lut, float base,
     // A cold interleaved scan offers its payload for admission; the
     // cache copies it out of the mapping only when the list has
     // earned residency (and the budget can take it).
-    if (cache != nullptr && pinned == nullptr && interleaved_.built())
+    if (cache != nullptr && pinned == nullptr)
         cache->offer(cluster, interleaved_.listBlocks(cluster),
                      interleaved_.listBlocksBytes(cluster),
                      interleaved_.packed4()
@@ -326,8 +327,7 @@ IvfPqIndex::scanList(cluster_t cluster, const FloatMatrix &lut, float base,
                          : nullptr,
                      interleaved_.listPackedBytes(cluster));
 
-    if (interleaved_.built() && interleaved_.packed4() &&
-        simd::level() != simd::Level::kScalar) {
+    if (interleaved_.packed4() && simd::level() != simd::Level::kScalar) {
         // 4-bit fast scan: quantise the float LUT once per (query,
         // probe), scan the nibble plane with in-register shuffles,
         // then reconstruct float scores only for blocks whose best
@@ -385,24 +385,16 @@ IvfPqIndex::scanList(cluster_t cluster, const FloatMatrix &lut, float base,
         return;
     }
 
+    // Streaming float scan over the interleaved blocks; bitwise
+    // identical to the row-major reference gather (same per-point
+    // accumulation order), minus the per-point random code-row load.
     if (scratch.scores.size() < n)
         scratch.scores.resize(n);
-    if (interleaved_.built()) {
-        // Streaming float scan over the interleaved blocks; bitwise
-        // identical to the legacy gather (same per-point accumulation
-        // order), minus the per-point random code-row load.
-        const entry_t *blocks =
-            pinned != nullptr ? pinned->primaryAs<entry_t>()
-                              : interleaved_.listBlocks(cluster);
-        simd::adcScanInterleaved(lut.data(), lut.cols(), subspaces,
-                                 blocks, n, base,
-                                 scratch.scores.data());
-    } else {
-        simd::adcScan(lut.data(), lut.cols(), subspaces,
-                      codes_.data(),
-                      static_cast<std::size_t>(codes_.num_subspaces),
-                      list.data(), n, base, scratch.scores.data());
-    }
+    const entry_t *blocks = pinned != nullptr
+                                ? pinned->primaryAs<entry_t>()
+                                : interleaved_.listBlocks(cluster);
+    simd::adcScanInterleaved(lut.data(), lut.cols(), subspaces, blocks, n,
+                             base, scratch.scores.data());
     for (std::size_t i = 0; i < n; ++i)
         top.push(list[i], scratch.scores[i]);
 }
@@ -414,13 +406,11 @@ IvfPqIndex::searchChunk(const SearchChunk &chunk, SearchContext &ctx)
     // across queries and batches alongside the other context buffers.
     ScanScratch &scan = ctx.scratch<ScanScratch>(
         [] { return std::make_unique<ScanScratch>(); });
-    // IO-aware probing engages only with a cache attached and the
-    // interleaved layout built (the legacy gather has no per-list
-    // payload to pin or prefetch). The shared_ptr keeps the cache
-    // alive across the chunk even if the budget changes mid-batch.
+    // IO-aware probing engages only with a cache attached. The
+    // shared_ptr keeps the cache alive across the chunk even if the
+    // budget changes mid-batch.
     auto cache_sp = std::atomic_load(&hot_cache_);
-    HotListCache *cache = cache_sp != nullptr && cache_sp->enabled() &&
-                                  interleaved_.built()
+    HotListCache *cache = cache_sp != nullptr && cache_sp->enabled()
                               ? cache_sp.get()
                               : nullptr;
     for (idx_t qi = chunk.begin; qi < chunk.end; ++qi) {

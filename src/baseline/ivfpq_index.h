@@ -44,13 +44,6 @@ class IvfPqIndex : public AnnIndex {
         int hnsw_ef_search = 64;
         std::uint64_t seed = 31;
         idx_t max_training_points = 0;
-        /**
-         * Build the list-resident interleaved code layout (and, for
-         * pq_entries <= 16, the nibble-packed fast-scan plane). Off
-         * reverts the scan stage to the legacy id-gather path — the
-         * bit-exact reference the parity tests compare against.
-         */
-        bool use_interleaved = true;
     };
 
     /** Trains IVF + PQ offline and encodes every point. */
@@ -59,7 +52,9 @@ class IvfPqIndex : public AnnIndex {
     /**
      * Loader for openIndex(): restores the trained IVF, codebooks,
      * codes and the interleaved/fast-scan planes (no re-training, no
-     * re-layout). In mmap mode the code planes view the mapping.
+     * re-layout). In mmap mode the code planes view the mapping. A
+     * snapshot written without the layout gets it built from the
+     * loaded codes.
      */
     static std::unique_ptr<IvfPqIndex> open(SnapshotReader &reader);
 
@@ -151,7 +146,7 @@ class IvfPqIndex : public AnnIndex {
 
     /**
      * ADC-scans one inverted list against a dense LUT (paper stage D)
-     * and offers every surviving point to @p top. Three tiers, chosen
+     * and offers every surviving point to @p top. Two tiers, chosen
      * per list:
      *  - 4-bit fast scan (interleaved nibble plane + quantised u8 LUT
      *    + in-register shuffles) when pq_entries <= 16 and a SIMD
@@ -159,10 +154,8 @@ class IvfPqIndex : public AnnIndex {
      *    quantised sums skips blocks that cannot beat the current
      *    heap minimum before any float work;
      *  - streaming float scan over the interleaved blocks (bitwise
-     *    identical to the legacy gather) otherwise;
-     *  - the legacy id-gather kernel when use_interleaved is off.
-     */
-    /**
+     *    identical to the row-major reference gather) otherwise.
+     *
      * @p pinned substitutes the list's cached heap copy for the
      * mapped planes (bitwise-identical bytes); @p cache, when set,
      * receives an offer of the payload after a cold interleaved scan.
@@ -183,7 +176,7 @@ class IvfPqIndex : public AnnIndex {
     InvertedFileIndex ivf_;
     ProductQuantizer pq_;
     PQCodes codes_;
-    /** List-resident interleaved layout (empty when disabled). */
+    /** List-resident interleaved layout every scan reads. */
     InterleavedLists interleaved_;
     idx_t nprobs_ = 8;
     std::unique_ptr<Hnsw> router_;

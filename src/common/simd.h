@@ -7,8 +7,9 @@
  * here. A dispatch table of function pointers is selected once at
  * startup from CPUID (AVX2+FMA when available, a scalar reference
  * otherwise) and every hot kernel — single-pair reductions, batched
- * row scoring, the register-blocked GEMM tile, the batched ADC scan
- * and the sparse candidate compaction — calls through it.
+ * row scoring, the register-blocked GEMM tile, the streaming ADC
+ * scans over interleaved codes and the sparse candidate compaction —
+ * calls through it.
  *
  * Contracts:
  *  - The scalar table is the bit-exact reference: its results never
@@ -43,7 +44,7 @@ namespace simd {
 enum class Level {
     kScalar = 0, ///< portable reference, bit-exact contract
     kAvx2 = 1,   ///< AVX2 + FMA (x86-64)
-    kAvx512 = 2, ///< AVX-512 F/BW/VL: AVX2 table + 16-wide ADC gather
+    kAvx512 = 2, ///< AVX-512 F/BW/VL: AVX2 table + 16-wide ADC scans
 };
 
 /**
@@ -81,18 +82,6 @@ struct Kernels {
                  idx_t k, idx_t n);
 
     /**
-     * Batched ADC scan (paper stage D): for each of n point ids,
-     * out[i] = base + sum_s lut[s*lut_stride + code_row(ids[i])[s]],
-     * where code_row(p) = codes + p*code_stride. The AVX2 path
-     * gathers LUT entries for 8 codes at a time; accumulation order
-     * per point is identical to scalar, so results are bitwise equal.
-     */
-    void (*adc_scan)(const float *lut, idx_t lut_stride, int subspaces,
-                     const entry_t *codes, std::size_t code_stride,
-                     const idx_t *ids, std::size_t n, float base,
-                     float *out);
-
-    /**
      * Streaming ADC scan over a list-resident interleaved code layout
      * (quant/interleaved_codes.h): points live in blocks of 32,
      * subspace-major within a block (blocks[s * 32 + j] is point
@@ -100,8 +89,9 @@ struct Kernels {
      * sequentially with no id gather. out[i] = base +
      * sum_s lut[s * lut_stride + code(i, s)] for i < n; accumulation
      * order per point is one add per subspace in subspace order, so
-     * results are bitwise identical to adc_scan on the same codes in
-     * every table. Tail blocks are zero-padded by the layout builder.
+     * results are bitwise identical to adcGatherReference() on the
+     * same codes in every table. Tail blocks are zero-padded by the
+     * layout builder.
      */
     void (*adc_scan_interleaved)(const float *lut, idx_t lut_stride,
                                  int subspaces, const entry_t *blocks,
@@ -209,14 +199,18 @@ scoreBatch(Metric metric, const float *q, const float *rows, idx_t n,
         active().inner_product_batch(q, rows, n, d, out);
 }
 
-inline void
-adcScan(const float *lut, idx_t lut_stride, int subspaces,
-        const entry_t *codes, std::size_t code_stride, const idx_t *ids,
-        std::size_t n, float base, float *out)
-{
-    active().adc_scan(lut, lut_stride, subspaces, codes, code_stride, ids,
-                      n, base, out);
-}
+/**
+ * Row-major id-gather ADC scan, the plain reference the interleaved
+ * and fast-scan kernels are tested against (not a dispatch slot; no
+ * index scans through it): for each of n point ids,
+ * out[i] = base + sum_s lut[s*lut_stride + code_row(ids[i])[s]],
+ * where code_row(p) = codes + p*code_stride, one add per subspace in
+ * subspace order.
+ */
+void adcGatherReference(const float *lut, idx_t lut_stride, int subspaces,
+                        const entry_t *codes, std::size_t code_stride,
+                        const idx_t *ids, std::size_t n, float base,
+                        float *out);
 
 inline void
 adcScanInterleaved(const float *lut, idx_t lut_stride, int subspaces,

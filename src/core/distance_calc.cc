@@ -23,24 +23,22 @@ searchModeName(SearchMode mode)
 
 DistanceCalculator::DistanceCalculator(const InvertedFileIndex &ivf,
                                        const InterestIndex &interest,
-                                       const InterleavedLists *interleaved)
+                                       const InterleavedLists &interleaved)
     : ivf_(ivf), interest_(interest), interleaved_(interleaved)
 {
     JUNO_REQUIRE(interest.built(), "interest index not built");
+    JUNO_REQUIRE(interleaved.numLists() == ivf.numClusters(),
+                 "interleaved layout does not match the IVF lists");
     const std::size_t scratch =
         static_cast<std::size_t>(interest.maxClusterSize());
     acc_.assign(scratch, 0.0f);
     hit_count_.assign(scratch, 0);
-    if (interleaved_ != nullptr && !interleaved_->built())
-        interleaved_ = nullptr;
-    if (interleaved_ != nullptr) {
-        flag_acc_.assign(scratch, 0.0f);
-        const std::size_t lut_sz =
-            static_cast<std::size_t>(interest.numSubspaces()) *
-            static_cast<std::size_t>(interest.entries());
-        delta_lut_.assign(lut_sz, 0.0f);
-        flag_lut_.assign(lut_sz, 0.0f);
-    }
+    flag_acc_.assign(scratch, 0.0f);
+    const std::size_t lut_sz =
+        static_cast<std::size_t>(interest.numSubspaces()) *
+        static_cast<std::size_t>(interest.entries());
+    delta_lut_.assign(lut_sz, 0.0f);
+    flag_lut_.assign(lut_sz, 0.0f);
 }
 
 void
@@ -84,7 +82,6 @@ DistanceCalculator::accumulateCluster(Metric metric, SearchMode mode,
         selected += hits[static_cast<std::size_t>(s)].size();
     const int entries = interest_.entries();
     const bool dense =
-        interleaved_ != nullptr &&
         static_cast<double>(selected) >=
             dense_threshold_ * static_cast<double>(subspaces) *
                 static_cast<double>(entries);
@@ -115,7 +112,7 @@ DistanceCalculator::accumulateCluster(Metric metric, SearchMode mode,
                     flag_lut_[cell] = 1.0f;
             }
         }
-        const entry_t *blocks = interleaved_->listBlocks(c);
+        const entry_t *blocks = interleaved_.listBlocks(c);
         simd::adcScanInterleaved(delta_lut_.data(),
                                  static_cast<idx_t>(entries), subspaces,
                                  blocks, n, 0.0f, acc_.data());

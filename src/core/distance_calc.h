@@ -41,19 +41,19 @@ const char *searchModeName(SearchMode mode);
 class DistanceCalculator {
   public:
     /**
-     * @p ivf and @p interest must outlive the calculator. When an
-     * @p interleaved layout is supplied (and built), clusters whose
-     * selected-entry fraction exceeds the dense threshold are scored
-     * by streaming the list-resident interleaved codes against a
-     * dense delta LUT expanded from the sparse hits, instead of
-     * walking the interest-index ranges point by scattered point.
-     * Both paths produce bitwise-identical accumulators (one add per
-     * selected subspace, in subspace order; untouched subspaces add
-     * an exact 0.0f in the dense path).
+     * @p ivf, @p interest and @p interleaved (the list-resident
+     * layout of the same codes) must outlive the calculator. Clusters
+     * whose selected-entry fraction exceeds the dense threshold are
+     * scored by streaming the interleaved codes against a dense delta
+     * LUT expanded from the sparse hits, instead of walking the
+     * interest-index ranges point by scattered point. Both paths
+     * produce bitwise-identical accumulators (one add per selected
+     * subspace, in subspace order; untouched subspaces add an exact
+     * 0.0f in the dense path).
      */
     DistanceCalculator(const InvertedFileIndex &ivf,
                        const InterestIndex &interest,
-                       const InterleavedLists *interleaved = nullptr);
+                       const InterleavedLists &interleaved);
 
     /**
      * Selected-entry fraction above which a cluster switches to the
@@ -97,7 +97,7 @@ class DistanceCalculator {
 
     const InvertedFileIndex &ivf_;
     const InterestIndex &interest_;
-    const InterleavedLists *interleaved_ = nullptr;
+    const InterleavedLists &interleaved_;
     double dense_threshold_ = 0.5;
 
     // Scratch sized to the largest cluster; densely reset per cluster.

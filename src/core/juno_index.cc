@@ -83,7 +83,15 @@ JunoIndex::JunoIndex(Metric metric, FloatMatrixView points,
                   policy_params);
     policy_.setMode(params.threshold_mode);
 
+    buildInterleaved();
     finishConstruction();
+}
+
+void
+JunoIndex::buildInterleaved()
+{
+    interleaved_.build(ivf_.lists(), codes_, params_.pq_entries,
+                       /*with_packed4=*/false);
 }
 
 void
@@ -93,14 +101,6 @@ JunoIndex::finishConstruction()
     // scene (Alg. 1, 10-11); both derive deterministically from the
     // trained state, so load() rebuilds them instead of storing them.
     interest_.build(ivf_, codes_, params_.pq_entries);
-    if (params_.use_interleaved && !interleaved_.built()) {
-        // Float-scan plane only: JUNO's dense regime never runs the
-        // 4-bit fast scan, so the nibble plane would be dead weight.
-        // A snapshot open() restores the plane instead (fast-scan
-        // state is persisted, not re-laid-out).
-        interleaved_.build(ivf_.lists(), codes_, params_.pq_entries,
-                           /*with_packed4=*/false);
-    }
     scene_.build(metric_, pq_, policy_, params_.scene);
     device_.setMode(params_.use_rt_core ? rt::ExecMode::kRtCore
                                         : rt::ExecMode::kCudaFallback);
@@ -124,7 +124,7 @@ writeParams(Writer &meta, const JunoParams &params)
     meta.writePod(params.miss_penalty);
     meta.writePod<std::uint8_t>(params.use_rt_core ? 1 : 0);
     meta.writePod<std::uint8_t>(params.pipelined ? 1 : 0);
-    meta.writePod<std::uint8_t>(params.use_interleaved ? 1 : 0);
+    meta.writePod<std::uint8_t>(1); // retired layout knob, always 1
     meta.writePod<std::int32_t>(params.density_grid);
     meta.writePod<std::int64_t>(params.policy.train_samples);
     meta.writePod<std::int64_t>(params.policy.ref_samples);
@@ -155,7 +155,7 @@ readParams(Reader &meta)
     params.miss_penalty = meta.readPod<double>();
     params.use_rt_core = meta.readPod<std::uint8_t>() != 0;
     params.pipelined = meta.readPod<std::uint8_t>() != 0;
-    params.use_interleaved = meta.readPod<std::uint8_t>() != 0;
+    meta.readPod<std::uint8_t>(); // retired layout knob
     params.density_grid = meta.readPod<std::int32_t>();
     params.policy.train_samples = meta.readPod<std::int64_t>();
     params.policy.ref_samples = meta.readPod<std::int64_t>();
@@ -213,7 +213,6 @@ JunoIndex::spec() const
     spec.setDouble("penalty", params_.miss_penalty);
     spec.setBool("rt", params_.use_rt_core);
     spec.setBool("pipelined", params_.pipelined);
-    spec.setBool("interleaved", params_.use_interleaved);
     spec.setInt("grid", params_.density_grid);
     spec.setInt("psamples", params_.policy.train_samples);
     spec.setInt("prefs", params_.policy.ref_samples);
@@ -239,7 +238,7 @@ JunoIndex::saveSections(SnapshotWriter &writer) const
     writeParams(meta, params_);
     meta.writePod<std::int64_t>(codes_.num_points);
     meta.writePod<std::int32_t>(codes_.num_subspaces);
-    meta.writePod<std::uint8_t>(interleaved_.built() ? 1 : 0);
+    meta.writePod<std::uint8_t>(1); // interleaved layout present
 
     ivf_.save(writer.section("ivf"));
     pq_.save(writer.section("pq"));
@@ -247,8 +246,7 @@ JunoIndex::saveSections(SnapshotWriter &writer) const
                    codes_.count() * sizeof(entry_t));
     density_.save(writer.section("density"));
     policy_.save(writer.section("policy"));
-    if (interleaved_.built())
-        interleaved_.save(writer, "ileav.");
+    interleaved_.save(writer, "ileav.");
 }
 
 std::unique_ptr<JunoIndex>
@@ -303,6 +301,9 @@ JunoIndex::open(SnapshotReader &reader)
                          index->interleaved_.subspaces() ==
                              index->codes_.num_subspaces,
                      what << ": interleaved layout shape mismatch");
+    } else {
+        // Written by a build that could skip the layout.
+        index->buildInterleaved();
     }
 
     index->finishConstruction();
@@ -395,7 +396,7 @@ JunoIndex::probe(const float *query, idx_t nprobs) const
 void
 JunoIndex::prefetchProbedLists(const std::vector<Neighbor> &probes) const
 {
-    if (!interleaved_.built() || !interleaved_.planesMapped())
+    if (!interleaved_.planesMapped())
         return;
     for (const auto &pr : probes) {
         const auto c = static_cast<cluster_t>(pr.id);
@@ -418,7 +419,7 @@ struct JunoIndex::Worker {
     explicit Worker(JunoIndex &owner)
         : device(owner.device_.mode()),
           builder(owner.scene_, owner.policy_, owner.ivf_, device),
-          calc(owner.ivf_, owner.interest_, &owner.interleaved_)
+          calc(owner.ivf_, owner.interest_, owner.interleaved_)
     {
     }
 

@@ -52,12 +52,6 @@ struct JunoParams {
     double miss_penalty = 1.0;             ///< miss-score multiplier
     bool use_rt_core = true;               ///< false = linear fallback
     bool pipelined = false;                ///< overlap LUT and scan
-    /**
-     * Keep a list-resident interleaved copy of the codes so the
-     * distance calculator can stream dense-regime clusters; costs one
-     * extra codes-sized allocation. Off = always the sparse walk.
-     */
-    bool use_interleaved = true;
     int density_grid = 100;                ///< density map resolution
     ThresholdPolicy::Params policy;        ///< regressor training
     JunoScene::Params scene;               ///< sphere radius / BVH
@@ -111,6 +105,7 @@ class JunoIndex : public AnnIndex {
     const InvertedFileIndex &ivf() const { return ivf_; }
     const ProductQuantizer &pq() const { return pq_; }
     const PQCodes &codes() const { return codes_; }
+    const InterleavedLists &interleaved() const { return interleaved_; }
     const DensityMap &densityMap() const { return density_; }
     const ThresholdPolicy &thresholdPolicy() const { return policy_; }
     const JunoScene &junoScene() const { return scene_; }
@@ -150,6 +145,12 @@ class JunoIndex : public AnnIndex {
 
     /** Rebuilds the derived structures (interest index, scene, ...). */
     void finishConstruction();
+
+    /**
+     * Lays codes_ out list-resident for the dense regime (float-scan
+     * plane only: JUNO never runs the 4-bit fast scan).
+     */
+    void buildInterleaved();
 
     /**
      * Issues WILLNEED madvise hints for the probed clusters'

@@ -7,9 +7,9 @@
  *
  *  - Owned instruments (counter()/gauge()/histogram()): get-or-create
  *    by name; callers hold a shared_ptr and record into it directly.
- *    Counters/gauges are lock-free atomics; histograms reuse the
- *    sharded QuantileSketch pattern from ServiceStats so concurrent
- *    observe() calls from worker threads rarely contend.
+ *    Counters/gauges are lock-free atomics; histograms shard their
+ *    QuantileSketch by recording thread so concurrent observe() calls
+ *    from worker threads rarely contend.
  *
  *  - Pull callbacks (counterCallback()/gaugeCallback()/
  *    summaryCallback()/info()): for subsystems that already keep their
@@ -90,9 +90,9 @@ class Gauge {
 /**
  * Quantile-tracking histogram: observations land in one of kShards
  * thread-hashed QuantileSketch shards (each behind its own mutex, on
- * its own cache line), merged only at summary() time. Same layout as
- * ServiceStats' latency shards — contention-free recording, exact
- * union quantiles.
+ * its own cache line), merged only at summary() time — contention-free
+ * recording, exact union quantiles. ServiceStats keeps its four
+ * latency components in four of these.
  */
 class HistogramMetric {
   public:

@@ -1,8 +1,6 @@
 #include "serve/service_stats.h"
 
 #include <cstdio>
-#include <functional>
-#include <thread>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -43,45 +41,14 @@ readResourceUsage()
     return u;
 }
 
-namespace {
-
-LatencySummary
-summarise(const QuantileSketch &sketch)
-{
-    LatencySummary s;
-    s.count = sketch.count();
-    if (s.count == 0)
-        return s;
-    s.mean = sketch.mean();
-    s.p50 = sketch.quantile(0.50);
-    s.p95 = sketch.quantile(0.95);
-    s.p99 = sketch.quantile(0.99);
-    s.max = sketch.quantile(1.0);
-    return s;
-}
-
-} // namespace
-
-ServiceStats::Shard &
-ServiceStats::localShard()
-{
-    const std::size_t h =
-        std::hash<std::thread::id>{}(std::this_thread::get_id());
-    return shards_[h % kShards];
-}
-
 void
 ServiceStats::recordCompletion(double queue_us, double batch_us,
                                double search_us, double total_us)
 {
-    Shard &shard = localShard();
-    {
-        MutexLock lock(shard.mutex);
-        shard.queue_us.add(queue_us);
-        shard.batch_us.add(batch_us);
-        shard.search_us.add(search_us);
-        shard.total_us.add(total_us);
-    }
+    queue_us_.observe(queue_us);
+    batch_us_.observe(batch_us);
+    search_us_.observe(search_us);
+    total_us_.observe(total_us);
     completed_.fetch_add(1);
 }
 
@@ -94,14 +61,10 @@ ServiceStats::recordCompletions(const std::vector<double> &queue_us,
     const std::size_t n = total_us.size();
     if (n == 0)
         return;
-    Shard &shard = localShard();
-    {
-        MutexLock lock(shard.mutex);
-        shard.queue_us.add(queue_us);
-        shard.batch_us.add(batch_us);
-        shard.search_us.add(search_us);
-        shard.total_us.add(total_us);
-    }
+    queue_us_.observe(queue_us);
+    batch_us_.observe(batch_us);
+    search_us_.observe(search_us);
+    total_us_.observe(total_us);
     completed_.fetch_add(n);
 }
 
@@ -115,38 +78,22 @@ ServiceStats::recordBatch(std::size_t size)
 LatencySummary
 ServiceStats::componentSummary(Component component) const
 {
-    QuantileSketch merged;
-    for (const Shard &shard : shards_) {
-        MutexLock lock(shard.mutex);
-        switch (component) {
-        case Component::kQueue:
-            merged.merge(shard.queue_us);
-            break;
-        case Component::kBatch:
-            merged.merge(shard.batch_us);
-            break;
-        case Component::kSearch:
-            merged.merge(shard.search_us);
-            break;
-        case Component::kTotal:
-            merged.merge(shard.total_us);
-            break;
-        }
+    switch (component) {
+    case Component::kQueue:
+        return queue_us_.summary();
+    case Component::kBatch:
+        return batch_us_.summary();
+    case Component::kSearch:
+        return search_us_.summary();
+    case Component::kTotal:
+        return total_us_.summary();
     }
-    return summarise(merged);
+    return {};
 }
 
 ServiceStats::Snapshot
 ServiceStats::snapshot() const
 {
-    QuantileSketch queue_us, batch_us, search_us, total_us;
-    for (const Shard &shard : shards_) {
-        MutexLock lock(shard.mutex);
-        queue_us.merge(shard.queue_us);
-        batch_us.merge(shard.batch_us);
-        search_us.merge(shard.search_us);
-        total_us.merge(shard.total_us);
-    }
     Snapshot snap;
     snap.submitted = submitted_.load();
     snap.completed = completed_.load();
@@ -163,10 +110,10 @@ ServiceStats::snapshot() const
                           ? 0.0
                           : static_cast<double>(batched) /
                                 static_cast<double>(snap.batches);
-    snap.queue_us = summarise(queue_us);
-    snap.batch_us = summarise(batch_us);
-    snap.search_us = summarise(search_us);
-    snap.total_us = summarise(total_us);
+    snap.queue_us = queue_us_.summary();
+    snap.batch_us = batch_us_.summary();
+    snap.search_us = search_us_.summary();
+    snap.total_us = total_us_.summary();
     snap.live_inserts = live_inserts_.load();
     snap.live_removes = live_removes_.load();
     snap.live_upserts = live_upserts_.load();

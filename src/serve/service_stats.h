@@ -2,26 +2,25 @@
  * @file
  * SLO accounting for the serving layer: admission counters plus
  * per-request latency split into its queue / batch-assembly / search
- * components, each feeding a QuantileSketch so snapshots report the
+ * components, each feeding a HistogramMetric so snapshots report the
  * p50/p95/p99 a latency SLO is written against.
  *
- * Recording is sharded: each recording thread hashes to one of a
- * fixed set of sketch shards and only locks that shard, and
- * snapshot() combines shards with QuantileSketch::merge() — quantiles
- * of the merged sketch are exactly those of the union of samples, so
- * nothing is lost relative to one global sketch while dispatcher
- * threads never serialise behind each other on the stats path.
+ * Recording is sharded inside HistogramMetric: each recording thread
+ * hashes to one of a fixed set of sketch shards and only locks that
+ * shard, and summaries merge the shards — quantiles of the merged
+ * sketch are exactly those of the union of samples, so nothing is
+ * lost relative to one global sketch while dispatcher threads never
+ * serialise behind each other on the stats path.
  */
 #ifndef JUNO_SERVE_SERVICE_STATS_H
 #define JUNO_SERVE_SERVICE_STATS_H
 
-#include <array>
 #include <atomic>
 #include <cstdint>
+#include <vector>
 
-#include "common/stats.h"
-#include "common/thread_annotations.h"
 #include "live/live_index.h"
+#include "obs/metrics.h"
 #include "serve/hot_list_cache.h"
 
 namespace juno {
@@ -48,14 +47,7 @@ struct ResourceUsage {
 ResourceUsage readResourceUsage();
 
 /** p50/p95/p99 summary of one latency component (microseconds). */
-struct LatencySummary {
-    std::size_t count = 0;
-    double mean = 0.0;
-    double p50 = 0.0;
-    double p95 = 0.0;
-    double p99 = 0.0;
-    double max = 0.0;
-};
+using LatencySummary = HistogramSummary;
 
 /** Counters and latency sketches of one SearchService. */
 class ServiceStats {
@@ -144,9 +136,9 @@ class ServiceStats {
 
     /**
      * Batched variant: all four component vectors must have equal
-     * length n. Takes the recording thread's shard lock once for the
-     * whole batch — the dispatcher's completion loop amortises its
-     * stats cost across the micro-batch like everything else it does.
+     * length n. Takes each component's shard lock once for the whole
+     * batch — the dispatcher's completion loop amortises its stats
+     * cost across the micro-batch like everything else it does.
      */
     void recordCompletions(const std::vector<double> &queue_us,
                            const std::vector<double> &batch_us,
@@ -224,7 +216,7 @@ class ServiceStats {
     LatencySummary componentSummary(Component component) const;
 
     /**
-     * Merges the per-thread shards into one summary per component.
+     * Merges each component's shards into one summary per component.
      * Safe to call concurrently with recording; the snapshot is a
      * consistent union of everything recorded before the call plus
      * possibly some records that race with it.
@@ -232,19 +224,6 @@ class ServiceStats {
     Snapshot snapshot() const;
 
   private:
-    static constexpr std::size_t kShards = 8;
-
-    /** One recording thread's sketch set (chosen by thread-id hash). */
-    struct alignas(64) Shard {
-        mutable Mutex mutex;
-        QuantileSketch queue_us JUNO_GUARDED_BY(mutex);
-        QuantileSketch batch_us JUNO_GUARDED_BY(mutex);
-        QuantileSketch search_us JUNO_GUARDED_BY(mutex);
-        QuantileSketch total_us JUNO_GUARDED_BY(mutex);
-    };
-
-    Shard &localShard();
-
     std::atomic<std::uint64_t> submitted_{0};
     std::atomic<std::uint64_t> completed_{0};
     std::atomic<std::uint64_t> failed_{0};
@@ -260,7 +239,10 @@ class ServiceStats {
     std::atomic<std::uint64_t> live_removes_{0};
     std::atomic<std::uint64_t> live_upserts_{0};
     std::atomic<std::uint64_t> live_rejected_{0};
-    std::array<Shard, kShards> shards_;
+    HistogramMetric queue_us_;
+    HistogramMetric batch_us_;
+    HistogramMetric search_us_;
+    HistogramMetric total_us_;
 };
 
 } // namespace juno

@@ -63,7 +63,7 @@ struct Fixture {
                                                         device);
         interleaved.build(ivf.lists(), codes, 16);
         calc = std::make_unique<DistanceCalculator>(ivf, interest,
-                                                    &interleaved);
+                                                    interleaved);
     }
 };
 

@@ -5,13 +5,14 @@
  *
  *  - PQ4 (entries == 16) train/encode/decode round-trip;
  *  - the interleaved layout reproduces the row-major codes (both
- *    planes) and the interleaved scan is bitwise equal to the legacy
- *    id-gather scan in every dispatch table;
+ *    planes) and the interleaved scan is bitwise equal to the
+ *    row-major reference gather in every dispatch table;
  *  - the fast-scan kernel's quantised sums match a naive nibble
  *    reference bit for bit in every table, and the reconstructed
  *    scores respect the documented error bound;
- *  - an IvfPqIndex with the interleaved layout returns ids bitwise
- *    identical to the legacy-gather index under JUNO_SIMD=scalar;
+ *  - IvfPqIndex::search under JUNO_SIMD=scalar is bitwise equal to an
+ *    oracle built from its components: probe, residual LUT, reference
+ *    gather over the row-major codes, top-k;
  *  - the quantised-LUT path holds recall parity within +-0.1% of the
  *    scalar float path at a fig12-style operating point across all
  *    supported kernel tiers.
@@ -179,22 +180,22 @@ TEST(FastScan, InterleavedLayoutMatchesRowMajorCodes)
     }
 }
 
-TEST(FastScan, InterleavedScanBitwiseEqualsLegacyGatherEverywhere)
+TEST(FastScan, InterleavedScanBitwiseEqualsReferenceGatherEverywhere)
 {
     // entries > 16 as well, so the non-packed layout is covered.
     for (int entries : {16, 64}) {
         ScanFixture fx(5, entries, 203, 3, 37);
-        const auto &scalar = simd::table(simd::Level::kScalar);
         const float base = 0.375f;
         for (std::size_t c = 0; c < fx.lists.size(); ++c) {
             const auto &list = fx.lists[c];
             if (list.empty())
                 continue;
             std::vector<float> ref(list.size());
-            scalar.adc_scan(fx.lut.data(), fx.lut.cols(), fx.subspaces,
-                            fx.codes.codes.data(),
-                            static_cast<std::size_t>(fx.subspaces),
-                            list.data(), list.size(), base, ref.data());
+            simd::adcGatherReference(
+                fx.lut.data(), fx.lut.cols(), fx.subspaces,
+                fx.codes.codes.data(),
+                static_cast<std::size_t>(fx.subspaces), list.data(),
+                list.size(), base, ref.data());
             for (simd::Level level : supportedLevels()) {
                 std::vector<float> got(list.size(), -1.0f);
                 simd::table(level).adc_scan_interleaved(
@@ -289,33 +290,76 @@ idsOf(const SearchResults &results)
 }
 
 IvfPqIndex::Params
-pq4Params(bool use_interleaved)
+pq4Params()
 {
     IvfPqIndex::Params params;
     params.clusters = 16;
     params.pq_subspaces = 16;
     params.pq_entries = 16; // PQ4: fast-scan eligible
     params.nprobs = 4;
-    params.use_interleaved = use_interleaved;
     return params;
 }
 
-TEST(FastScan, InterleavedIndexIdsMatchLegacyGatherUnderScalar)
+/**
+ * The index's search spelled out from its components: stage-A probe,
+ * per-cluster LUT (L2 on the query residual, IP on the raw query plus
+ * the centroid term), the row-major reference gather over codes(),
+ * then TopK.
+ */
+SearchResults
+oracleSearch(const IvfPqIndex &index, FloatMatrixView queries, idx_t k)
+{
+    const idx_t dim = index.dim();
+    const ProductQuantizer &pq = index.pq();
+    const PQCodes &codes = index.codes();
+    SearchResults out(static_cast<std::size_t>(queries.rows()));
+    FloatMatrix lut;
+    std::vector<float> residual(static_cast<std::size_t>(dim));
+    std::vector<float> scores;
+    for (idx_t qi = 0; qi < queries.rows(); ++qi) {
+        const float *q = queries.row(qi);
+        TopK top(std::min(k, index.size()), index.metric());
+        for (const auto &pr : index.probe(q, index.nprobs())) {
+            const auto c = static_cast<cluster_t>(pr.id);
+            float base = 0.0f;
+            if (index.metric() == Metric::kL2) {
+                index.ivf().residual(q, c, residual.data());
+                pq.computeLut(Metric::kL2, residual.data(), lut);
+            } else {
+                pq.computeLut(Metric::kInnerProduct, q, lut);
+                base = innerProduct(q, index.ivf().centroid(c), dim);
+            }
+            const auto &list = index.ivf().list(c);
+            scores.resize(list.size());
+            simd::adcGatherReference(
+                lut.data(), lut.cols(), pq.numSubspaces(), codes.data(),
+                static_cast<std::size_t>(codes.num_subspaces),
+                list.data(), list.size(), base, scores.data());
+            for (std::size_t i = 0; i < list.size(); ++i)
+                top.push(list[i], scores[i]);
+        }
+        out[static_cast<std::size_t>(qi)] = top.take();
+    }
+    return out;
+}
+
+TEST(FastScan, IndexSearchMatchesReferenceGatherOracleUnderScalar)
 {
     LevelGuard guard;
-    const auto ds = fastScanDataset(600, 20);
-    IvfPqIndex legacy(ds.metric, ds.base.view(), pq4Params(false));
-    IvfPqIndex inter(ds.metric, ds.base.view(), pq4Params(true));
-
-    // Under the scalar table the interleaved index takes the float
-    // streaming scan, which is bitwise identical to the gather path:
-    // same ids, same scores.
+    // Under the scalar table every list takes the streaming float
+    // scan over the interleaved layout, which must reproduce the
+    // row-major reference gather bit for bit: same ids, same scores.
     ASSERT_TRUE(simd::setLevel(simd::Level::kScalar));
-    const auto legacy_res = legacy.search(ds.queries.view(), 10);
-    const auto inter_res = inter.search(ds.queries.view(), 10);
-    ASSERT_EQ(legacy_res.size(), inter_res.size());
-    for (std::size_t q = 0; q < legacy_res.size(); ++q)
-        EXPECT_EQ(legacy_res[q], inter_res[q]) << "query " << q;
+    const auto ds = fastScanDataset(600, 20);
+    for (Metric metric : {Metric::kL2, Metric::kInnerProduct}) {
+        IvfPqIndex index(metric, ds.base.view(), pq4Params());
+        const auto got = index.search(ds.queries.view(), 10);
+        const auto want = oracleSearch(index, ds.queries.view(), 10);
+        ASSERT_EQ(want.size(), got.size());
+        for (std::size_t q = 0; q < want.size(); ++q)
+            EXPECT_EQ(want[q], got[q])
+                << "metric=" << metricName(metric) << " query " << q;
+    }
 }
 
 TEST(FastScan, QuantizedPathRecallParityAcrossTiers)
@@ -331,7 +375,7 @@ TEST(FastScan, QuantizedPathRecallParityAcrossTiers)
     const auto gt =
         computeGroundTruth(ds.metric, ds.base.view(), ds.queries.view(),
                            1);
-    IvfPqIndex index(ds.metric, ds.base.view(), pq4Params(true));
+    IvfPqIndex index(ds.metric, ds.base.view(), pq4Params());
 
     ASSERT_TRUE(simd::setLevel(simd::Level::kScalar));
     const double recall_float =
@@ -357,7 +401,7 @@ TEST(FastScan, QuantizedBlockPrefilterKeepsTopKIntact)
     // the quantised sums. Verify via self-consistency: k=1 results
     // must appear in the k=32 results' head.
     const auto ds = fastScanDataset(1500, 25);
-    IvfPqIndex index(ds.metric, ds.base.view(), pq4Params(true));
+    IvfPqIndex index(ds.metric, ds.base.view(), pq4Params());
     ASSERT_TRUE(simd::setLevel(simd::bestSupported()));
     const auto wide = idsOf(index.search(ds.queries.view(), 32));
     const auto narrow = idsOf(index.search(ds.queries.view(), 1));

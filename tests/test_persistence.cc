@@ -116,13 +116,6 @@ TEST(Persistence, IvfPqFastScanAndRouterRoundTrip)
         "ivfpq:nlist=16,m=6,entries=16,nprobe=4,hnsw=1,hnsw_m=8");
 }
 
-TEST(Persistence, IvfPqLegacyGatherRoundTrips)
-{
-    expectRoundTrip(
-        Metric::kL2,
-        "ivfpq:nlist=16,m=6,entries=32,nprobe=4,interleaved=0");
-}
-
 TEST(Persistence, HnswRoundTrips)
 {
     expectRoundTrip(Metric::kL2, "hnsw:m=8,efc=40,ef=32");
@@ -202,6 +195,13 @@ TEST(Persistence, UnknownSpecTypeRejected)
     EXPECT_THROW(
         buildIndex(Metric::kL2, ds.base.view(), "ivfflat:bogus=1"),
         ConfigError);
+    // The interleaved layout is unconditional; the old knob is gone.
+    for (const char *spec :
+         {"ivfpq:nlist=16,m=6,entries=32,nprobe=4,interleaved=0",
+          "juno:nlist=16,entries=32,nprobe=6,interleaved=1"})
+        EXPECT_THROW(buildIndex(Metric::kL2, ds.base.view(), spec),
+                     ConfigError)
+            << spec;
 }
 
 } // namespace
