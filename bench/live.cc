@@ -11,7 +11,10 @@
  *    writer injects inserts and deletes at a configured rate, with
  *    the background merge publishing generations mid-run.
  *
- * Freshness lag is measured directly: every Nth insert is a probe
+ * Both legs' traffic comes from harness/loadgen (its closed-loop
+ * clients and its paced writer).
+ *
+ * Freshness lag is measured directly: every 16th insert is a probe
  * whose vector is a query-set row (the guaranteed unique nearest
  * neighbour of itself), and the writer polls the serving path until
  * the new id appears in the top-k — the insert-to-first-visible-query
@@ -19,29 +22,25 @@
  * latency (inserts are visible to the very next search), so the lag
  * distribution should track the read path's, not the merge cadence.
  *
- * Gates (exit nonzero, `--smoke` is the CI leg): every probe must
- * become visible (a missed probe is a freshness bug, not noise), and
- * the mixed leg must publish at least one generation so the numbers
- * cover a reader swap. `--json <path>` dumps the measured points
- * (BENCH_live.json).
+ * Gates (exit nonzero, `--smoke` is the CI leg): both legs conserve
+ * requests (loadgen's predicate), every probe must become visible (a
+ * missed probe is a freshness bug, not noise), and the mixed leg must
+ * publish at least one generation so the numbers cover a reader swap.
+ * `--json <path>` dumps the measured points (BENCH_live.json).
  */
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <deque>
 #include <fstream>
-#include <future>
 #include <memory>
 #include <string>
-#include <thread>
-#include <vector>
+#include <utility>
 
 #include "bench_common.h"
 #include "common/build_info.h"
-#include "common/stats.h"
-#include "common/timer.h"
+#include "common/logging.h"
+#include "common/parse.h"
 #include "dataset/synthetic.h"
+#include "harness/loadgen.h"
 #include "harness/reporter.h"
 #include "live/live_index.h"
 #include "registry/index_factory.h"
@@ -51,165 +50,110 @@ using namespace juno;
 
 namespace {
 
+/** Command-line settings; parseArgs() fills every field. */
 struct Options {
     bool smoke = false;
     std::string json_path;
-    idx_t num_points = bench::scale1M();
-    idx_t k = 10;
-    int clients = 2;
-    int window = 8;
+    idx_t num_points = 0;
+    idx_t k = 0;
+    int clients = 0;
     /** Wall-clock seconds each leg serves. */
-    double seconds = 2.0;
-    double insert_rate = 2000.0;
-    double delete_rate = 500.0;
-    /** Every Nth insert is a freshness probe. */
-    idx_t probe_every = 16;
-    idx_t merge_threshold = 1024;
+    double seconds = 0.0;
+    double insert_rate = 0.0;
+    double delete_rate = 0.0;
+    idx_t merge_threshold = 0;
 };
+
+const char kUsage[] =
+    "usage: bench_live [--smoke] [--json path] [--n N] [--k K] "
+    "[--clients C]\n"
+    "                  [--seconds S] [--insert-rate R] [--delete-rate R] "
+    "[--merge-threshold N]\n"
+    "  --smoke is a preset; explicit flags override it\n";
 
 Options
 parseArgs(int argc, char **argv)
 {
     Options opt;
-    for (int a = 1; a < argc; ++a) {
-        const std::string arg = argv[a];
-        auto value = [&](const char *name) -> std::string {
-            if (a + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n", name);
-                std::exit(2);
-            }
-            return argv[++a];
-        };
-        if (arg == "--smoke")
-            opt.smoke = true;
-        else if (arg == "--json")
-            opt.json_path = value("--json");
-        else if (arg == "--n")
-            opt.num_points = std::atoll(value("--n").c_str());
-        else if (arg == "--k")
-            opt.k = std::atoll(value("--k").c_str());
-        else if (arg == "--clients")
-            opt.clients = std::atoi(value("--clients").c_str());
-        else if (arg == "--seconds")
-            opt.seconds = std::atof(value("--seconds").c_str());
-        else if (arg == "--insert-rate")
-            opt.insert_rate = std::atof(value("--insert-rate").c_str());
-        else if (arg == "--delete-rate")
-            opt.delete_rate = std::atof(value("--delete-rate").c_str());
-        else if (arg == "--merge-threshold")
-            opt.merge_threshold =
-                std::atoll(value("--merge-threshold").c_str());
-        else {
-            std::fprintf(stderr,
-                         "usage: bench_live [--smoke] [--json path] "
-                         "[--n N] [--k K] [--clients C] [--seconds S] "
-                         "[--insert-rate R] [--delete-rate R] "
-                         "[--merge-threshold N]\n");
-            std::exit(2);
-        }
-    }
-    if (opt.smoke) {
-        opt.num_points = 4000;
-        opt.seconds = 1.0;
-        opt.insert_rate = 1500.0;
-        opt.delete_rate = 400.0;
-        opt.probe_every = 8;
-        opt.merge_threshold = 256;
+    try {
+        const Args args(argc, argv, 1, {"smoke"},
+                        {"smoke", "json", "n", "k", "clients", "seconds",
+                         "insert-rate", "delete-rate", "merge-threshold"});
+        // The preset is only a fallback, so an explicit flag wins.
+        opt.smoke = args.has("smoke");
+        const bool smoke = opt.smoke;
+        opt.json_path = args.get("json", "");
+        opt.num_points = args.getInt("n", smoke ? 4000 : bench::scale1M(),
+                                     1, 100000000);
+        opt.k = args.getInt("k", 10, 1, 1000000);
+        opt.clients = static_cast<int>(args.getInt("clients", 2, 1, 4096));
+        opt.seconds = args.getDouble("seconds", smoke ? 1.0 : 2.0, 0.001,
+                                     86400.0);
+        opt.insert_rate = args.getDouble("insert-rate",
+                                         smoke ? 1500.0 : 2000.0, 0.0, 1e7);
+        opt.delete_rate = args.getDouble("delete-rate",
+                                         smoke ? 400.0 : 500.0, 0.0, 1e7);
+        opt.merge_threshold = args.getInt("merge-threshold",
+                                          smoke ? 256 : 1024, 1, 100000000);
+    } catch (const ConfigError &err) {
+        std::fprintf(stderr, "bench_live: %s\n%s", err.what(), kUsage);
+        std::exit(2);
     }
     return opt;
 }
 
-struct LegResult {
-    double qps = 0.0;
-    std::uint64_t completed = 0;
-    LatencySummary total_us;
+/** A leg's read side: the clients' QPS plus the service's latencies. */
+struct Leg {
+    LoadResult load;
+    ServiceStats::Snapshot snap;
 };
 
 /**
- * Closed-loop read clients against a running service for a fixed
- * wall-clock window (duration-based so the two legs are comparable
- * whatever their throughput). A full queue is backpressure, retried;
- * typed sheds are counted out of the completion tally by reap().
+ * Serves one leg: closed-loop read clients for opt.seconds (duration
+ * based, so the legs compare whatever their throughput) alongside
+ * @p writes, gated on loadgen's conservation predicate.
  */
-LegResult
-runReadClients(SearchService &service, FloatMatrixView queries,
-               const Options &opt)
+Leg
+serveLeg(SearchService &service, FloatMatrixView queries,
+         const Options &opt, const char *name, int &failures,
+         const WriteLoad &writes = {})
 {
-    std::atomic<std::uint64_t> completed{0};
-    std::vector<std::thread> threads;
-    Timer leg_timer;
-    for (int c = 0; c < opt.clients; ++c)
-        threads.emplace_back([&, c] {
-            std::deque<std::future<ResultList>> inflight;
-            auto reap = [&](std::future<ResultList> &f) {
-                try {
-                    f.get();
-                    completed.fetch_add(1);
-                } catch (const RejectedError &) {
-                }
-            };
-            idx_t qi = static_cast<idx_t>(c) % queries.rows();
-            Timer timer;
-            while (timer.seconds() < opt.seconds) {
-                if (inflight.size() >=
-                    static_cast<std::size_t>(opt.window)) {
-                    reap(inflight.front());
-                    inflight.pop_front();
-                }
-                RejectReason reason = RejectReason::kNone;
-                auto f = service.submit(queries.row(qi), opt.k,
-                                        &reason);
-                while (reason == RejectReason::kQueueFull &&
-                       service.running()) {
-                    std::this_thread::yield();
-                    f = service.submit(queries.row(qi), opt.k,
-                                       &reason);
-                }
-                inflight.push_back(std::move(f));
-                qi = (qi + 1) % queries.rows();
-            }
-            while (!inflight.empty()) {
-                reap(inflight.front());
-                inflight.pop_front();
-            }
-        });
-    for (auto &t : threads)
-        t.join();
-    LegResult result;
-    result.completed = completed.load();
-    result.qps = static_cast<double>(result.completed) /
-                 leg_timer.seconds();
-    result.total_us = service.snapshot().total_us;
-    return result;
+    LoadSpec spec;
+    spec.clients = opt.clients;
+    spec.k = opt.k;
+    spec.duration_s = opt.seconds;
+    spec.writes = writes;
+    service.start();
+    Leg leg;
+    leg.load = runLoad(service, queries, spec);
+    service.stop();
+    leg.snap = service.snapshot();
+    std::string why;
+    if (!conserved(leg.snap, leg.load, &why)) {
+        std::fprintf(stderr, "CONSERVATION FAIL: %s leg: %s\n", name,
+                     why.c_str());
+        ++failures;
+    }
+    return leg;
 }
 
-/** Writer-side tallies of the mixed leg. */
-struct WriterResult {
-    std::uint64_t inserts = 0;
-    std::uint64_t removes = 0;
-    std::uint64_t rejected = 0;
-    std::uint64_t probes = 0;
-    std::uint64_t probes_missed = 0;
-    QuantileSketch lag_us;
-};
-
 void
-writeJson(const std::string &path, const Options &opt,
-          const LegResult &base, const LegResult &mixed,
-          const WriterResult &w, const LiveStats &live)
+writeJson(const std::string &path, const Options &opt, const Leg &base,
+          const Leg &mixed, const LiveStats &live)
 {
     std::ofstream out(path);
     if (!out) {
         std::fprintf(stderr, "cannot write %s\n", path.c_str());
         return;
     }
-    auto leg = [&](const char *name, const LegResult &r) {
-        out << "  \"" << name << "\": {\"qps\": " << r.qps
-            << ", \"completed\": " << r.completed
-            << ", \"p50_us\": " << r.total_us.p50
-            << ", \"p95_us\": " << r.total_us.p95
-            << ", \"p99_us\": " << r.total_us.p99 << "}";
+    auto leg = [&](const char *name, const Leg &r) {
+        out << "  \"" << name << "\": {\"qps\": " << r.load.qps
+            << ", \"completed\": " << r.load.reads.completed
+            << ", \"p50_us\": " << r.snap.total_us.p50
+            << ", \"p95_us\": " << r.snap.total_us.p95
+            << ", \"p99_us\": " << r.snap.total_us.p99 << "}";
     };
+    const WriteResult &w = mixed.load.writes;
     out << "{\n  \"bench\": \"live\",\n  \"build\": "
         << buildInfoJson() << ",\n  \"points\": " << opt.num_points
         << ",\n  \"insert_rate\": " << opt.insert_rate
@@ -218,16 +162,18 @@ writeJson(const std::string &path, const Options &opt,
     out << ",\n";
     leg("mixed", mixed);
     out << ",\n  \"read_overhead\": "
-        << (base.qps > 0.0 ? mixed.qps / base.qps : 0.0)
+        << (base.load.qps > 0.0 ? mixed.load.qps / base.load.qps : 0.0)
         << ",\n  \"writer\": {\"inserts\": " << w.inserts
         << ", \"removes\": " << w.removes
         << ", \"rejected\": " << w.rejected << "},\n"
         << "  \"freshness_lag_us\": {\"probes\": " << w.probes
-        << ", \"missed\": " << w.probes_missed
-        << ", \"p50\": " << w.lag_us.quantile(0.50)
-        << ", \"p95\": " << w.lag_us.quantile(0.95)
-        << ", \"p99\": " << w.lag_us.quantile(0.99)
-        << ", \"max\": " << w.lag_us.quantile(1.0) << "},\n"
+        << ", \"missed\": " << w.probes_missed;
+    if (!w.lag_us.empty())
+        out << ", \"p50\": " << w.lag_us.quantile(0.50)
+            << ", \"p95\": " << w.lag_us.quantile(0.95)
+            << ", \"p99\": " << w.lag_us.quantile(0.99)
+            << ", \"max\": " << w.lag_us.quantile(1.0);
+    out << "},\n"
         << "  \"live\": {\"generation\": " << live.generation
         << ", \"generations_published\": "
         << live.generations_published
@@ -261,20 +207,21 @@ main(int argc, char **argv)
                 opt.delete_rate);
 
     // Leg 1: read-only baseline over the frozen index.
-    LegResult base;
+    int failures = 0;
+    Leg base;
     {
         SearchService service(
             buildIndex(ds.metric, ds.base.view(), index_spec), config);
-        service.start();
-        base = runReadClients(service, ds.queries.view(), opt);
-        service.stop();
+        base = serveLeg(service, ds.queries.view(), opt, "read-only",
+                        failures);
     }
 
-    // Leg 2: the same read traffic over a LiveIndex with a paced
-    // writer. Deletes only touch writer-inserted ids so the read
-    // workload's ground set never shrinks.
-    LegResult mixed;
-    WriterResult wr;
+    // Leg 2: the same read traffic over a LiveIndex while loadgen's
+    // paced writer inserts and deletes. Its deletes only touch ids it
+    // inserted, so the read workload's ground set never shrinks; every
+    // 16th insert is a query-set row polled until visible (the
+    // insert-to-first-visible-query lag).
+    Leg mixed;
     LiveStats live;
     {
         LiveConfig lcfg;
@@ -285,105 +232,40 @@ main(int argc, char **argv)
             std::make_unique<LiveIndex>(ds.metric, ds.base.view(),
                                         index_spec, std::move(lcfg)),
             config);
-        service.start();
-
-        std::atomic<bool> stop{false};
-        std::thread writer([&] {
-            std::deque<idx_t> mine;
-            idx_t next_id = ds.base.rows() + 1000000;
-            idx_t probe_qi = 0;
-            using Clock = std::chrono::steady_clock;
-            const auto start = Clock::now();
-            double ins_due = 0.0, del_due = 0.0;
-            while (!stop.load()) {
-                const double t =
-                    std::chrono::duration<double>(Clock::now() - start)
-                        .count();
-                bool worked = false;
-                if (t >= ins_due) {
-                    const bool probe =
-                        wr.inserts % opt.probe_every == 0;
-                    // Probe vectors come from the query set: the
-                    // inserted copy is its own unique nearest
-                    // neighbour, so visibility == membership in the
-                    // top-k for that query.
-                    const float *vec =
-                        probe ? ds.queries.view().row(probe_qi)
-                              : ds.base.row(next_id % ds.base.rows());
-                    Timer lag;
-                    if (service.insert(vec, next_id) ==
-                        MutateStatus::kOk) {
-                        mine.push_back(next_id);
-                        ++wr.inserts;
-                        if (probe) {
-                            ++wr.probes;
-                            bool seen = false;
-                            for (int tries = 0;
-                                 tries < 200 && !seen; ++tries) {
-                                const ResultList r =
-                                    service.submit(vec, opt.k).get();
-                                for (const Neighbor &n : r)
-                                    if (n.id == next_id)
-                                        seen = true;
-                            }
-                            if (seen)
-                                wr.lag_us.add(lag.micros());
-                            else
-                                ++wr.probes_missed;
-                            probe_qi = (probe_qi + 1) %
-                                       ds.queries.rows();
-                        }
-                    } else {
-                        ++wr.rejected;
-                    }
-                    ++next_id;
-                    ins_due += 1.0 / opt.insert_rate;
-                    worked = true;
-                }
-                if (opt.delete_rate > 0.0 && t >= del_due) {
-                    if (!mine.empty()) {
-                        if (service.remove(mine.front()) ==
-                            MutateStatus::kOk)
-                            ++wr.removes;
-                        mine.pop_front();
-                        worked = true;
-                    }
-                    del_due += 1.0 / opt.delete_rate;
-                }
-                if (!worked)
-                    std::this_thread::sleep_for(
-                        std::chrono::microseconds(200));
-            }
-        });
-        mixed = runReadClients(service, ds.queries.view(), opt);
-        stop.store(true);
-        writer.join();
+        WriteLoad writes;
+        writes.insert_rate = opt.insert_rate;
+        writes.delete_rate = opt.delete_rate;
+        writes.source = ds.base.view();
+        mixed = serveLeg(service, ds.queries.view(), opt, "mixed",
+                         failures, writes);
         live = service.liveStats();
-        service.stop();
     }
+    const WriteResult &wr = mixed.load.writes;
 
     printBanner("Serving under live mutation");
     TablePrinter table({"leg", "read_QPS", "vs_read_only", "p50_us",
                         "p95_us", "p99_us"});
-    table.addRow({"read-only", TablePrinter::num(base.qps), "1.00",
-                  TablePrinter::num(base.total_us.p50),
-                  TablePrinter::num(base.total_us.p95),
-                  TablePrinter::num(base.total_us.p99)});
-    table.addRow({"mixed r/w", TablePrinter::num(mixed.qps),
-                  TablePrinter::num(base.qps > 0.0
-                                        ? mixed.qps / base.qps
-                                        : 0.0),
-                  TablePrinter::num(mixed.total_us.p50),
-                  TablePrinter::num(mixed.total_us.p95),
-                  TablePrinter::num(mixed.total_us.p99)});
+    for (const auto &[name, leg] : {std::pair{"read-only", &base},
+                                    std::pair{"mixed r/w", &mixed}})
+        table.addRow({name, TablePrinter::num(leg->load.qps),
+                      TablePrinter::num(base.load.qps > 0.0
+                                            ? leg->load.qps / base.load.qps
+                                            : 0.0),
+                      TablePrinter::num(leg->snap.total_us.p50),
+                      TablePrinter::num(leg->snap.total_us.p95),
+                      TablePrinter::num(leg->snap.total_us.p99)});
     table.print();
     std::printf("freshness lag (insert -> first visible query): "
-                "%llu probes, p50 %.0fus p95 %.0fus p99 %.0fus "
-                "max %.0fus\n",
+                "%llu probes, %llu missed",
                 static_cast<unsigned long long>(wr.probes),
-                wr.lag_us.quantile(0.50), wr.lag_us.quantile(0.95),
-                wr.lag_us.quantile(0.99), wr.lag_us.quantile(1.0));
-    std::printf("writer: +%llu -%llu (%llu rejected); live: "
+                static_cast<unsigned long long>(wr.probes_missed));
+    // No visible probe leaves no lag to summarise; the freshness gate
+    // below reports that run instead of dying on an empty sketch.
+    if (!wr.lag_us.empty())
+        std::printf(", p50 %.0fus p95 %.0fus p99 %.0fus max %.0fus",
+                    wr.lag_us.quantile(0.50), wr.lag_us.quantile(0.95),
+                    wr.lag_us.quantile(0.99), wr.lag_us.quantile(1.0));
+    std::printf("\nwriter: +%llu -%llu (%llu rejected); live: "
                 "generation %llu, %llu published, %llu merges, "
                 "%lld ids live\n",
                 static_cast<unsigned long long>(wr.inserts),
@@ -396,9 +278,8 @@ main(int argc, char **argv)
                 static_cast<long long>(live.live_count));
 
     if (!opt.json_path.empty())
-        writeJson(opt.json_path, opt, base, mixed, wr, live);
+        writeJson(opt.json_path, opt, base, mixed, live);
 
-    int failures = 0;
     if (wr.probes == 0 || wr.probes_missed != 0) {
         std::fprintf(stderr,
                      "FRESHNESS FAIL: %llu of %llu probes never "

@@ -1,6 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <limits>
+#include <map>
 #include <optional>
 #include <string>
 
@@ -50,5 +53,37 @@ std::optional<double> parseFloat64(const std::string &text);
  * future byte-size flag.
  */
 std::optional<std::int64_t> parseByteSize(const std::string &text);
+
+/**
+ * A "--key value" command line checked with the parsers above: the
+ * front end of juno_cli and the serving benches. Keys in @p bare take
+ * no value (presence is the value); a non-empty @p known rejects any
+ * other key. A token that is not "--key", a missing value, and, on
+ * lookup, a malformed or out-of-range number throw ConfigError naming
+ * the flag: a typo like `--k ten`, a partial parse (`--k 1x`) or
+ * overflow must not wrap or reach the engine.
+ */
+class Args {
+  public:
+    Args(int argc, char **argv, int first,
+         std::initializer_list<const char *> bare = {"smoke"},
+         std::initializer_list<const char *> known = {});
+
+    std::string get(const std::string &key,
+                    const std::string &fallback) const;
+    /** Integer flag in the inclusive range [lo, hi]. */
+    std::int64_t
+    getInt(const std::string &key, std::int64_t fallback,
+           std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
+           std::int64_t hi = std::numeric_limits<std::int64_t>::max()) const;
+    /** Finite number flag in [lo, hi]. */
+    double getDouble(const std::string &key, double fallback,
+                     double lo = std::numeric_limits<double>::lowest(),
+                     double hi = std::numeric_limits<double>::max()) const;
+    bool has(const std::string &key) const { return values_.count(key); }
+
+  private:
+    std::map<std::string, std::string> values_;
+};
 
 } // namespace juno

@@ -200,9 +200,16 @@ class LiveIndex : public AnnIndex {
     /**
      * Redirects merge traces (overrides LiveConfig::tracer; null
      * disables). The serving layer attaches its own tracer here so
-     * merge spans land in the same ring as request traces.
+     * merge spans land in the same ring as request traces. Waits out
+     * a merge in flight, so once this returns no merge still uses the
+     * previous tracer (which its owner may then destroy).
      */
-    void setTracer(Tracer *tracer) { tracer_.store(tracer); }
+    void
+    setTracer(Tracer *tracer) JUNO_EXCLUDES(merge_run_mutex_)
+    {
+        MutexLock run(merge_run_mutex_);
+        tracer_.store(tracer);
+    }
 
     // ---- AnnIndex ----
     std::string name() const override;

@@ -129,6 +129,11 @@ SearchService::SearchService(const std::string &snapshot_path,
 SearchService::~SearchService()
 {
     stop();
+    // The served LiveIndex (owned ones included: members die after
+    // tracer_) may still be merging; detach the tracer it was lent at
+    // construction before tracer_ is destroyed.
+    if (live_ != nullptr && live_->liveConfig().tracer == nullptr)
+        live_->setTracer(nullptr);
 }
 
 void

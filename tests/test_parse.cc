@@ -7,7 +7,9 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <vector>
 
+#include "common/logging.h"
 #include "common/parse.h"
 #include "serve/hot_list_cache.h"
 
@@ -146,6 +148,46 @@ TEST(ParseByteSize, HotListCacheWrapperKeepsLegacyContract)
     EXPECT_EQ(HotListCache::parseByteSize("bogus"), -1);
     EXPECT_EQ(HotListCache::parseByteSize("-5"), -1);
     EXPECT_EQ(HotListCache::parseByteSize("9223372036854775807g"), -1);
+}
+
+/** Args over a literal command line (argv[0] is the program). */
+Args
+argsOf(std::vector<std::string> words,
+       std::initializer_list<const char *> bare,
+       std::initializer_list<const char *> known = {})
+{
+    std::vector<char *> argv;
+    for (std::string &w : words)
+        argv.push_back(w.data());
+    return Args(static_cast<int>(argv.size()), argv.data(), 1, bare, known);
+}
+
+TEST(Args, BareFlagsValuesAndFallbacks)
+{
+    const Args args = argsOf({"prog", "--smoke", "--n", "12", "--rate",
+                              "2.5", "--json", "out.json"},
+                             {"smoke"});
+    EXPECT_TRUE(args.has("smoke"));
+    EXPECT_FALSE(args.has("quick"));
+    EXPECT_EQ(args.getInt("n", 7, 1, 100), 12);
+    EXPECT_EQ(args.getInt("k", 7, 1, 100), 7);
+    EXPECT_DOUBLE_EQ(args.getDouble("rate", 1.0, 0.0, 10.0), 2.5);
+    EXPECT_EQ(args.get("json", ""), "out.json");
+}
+
+TEST(Args, RejectsMalformedCommandLines)
+{
+    EXPECT_THROW(argsOf({"prog", "stray"}, {}), ConfigError);
+    EXPECT_THROW(argsOf({"prog", "--n"}, {}), ConfigError);
+    EXPECT_THROW(argsOf({"prog", "--bogus", "1"}, {}, {"n"}), ConfigError);
+    EXPECT_NO_THROW(argsOf({"prog", "--n", "1"}, {}, {"n"}));
+    const Args args = argsOf({"prog", "--n", "0", "--m", "abc", "--r",
+                              "-1", "--s", "nan"},
+                             {});
+    EXPECT_THROW(args.getInt("n", 1, 1, 10), ConfigError);
+    EXPECT_THROW(args.getInt("m", 1), ConfigError);
+    EXPECT_THROW(args.getDouble("r", 1.0, 0.0, 10.0), ConfigError);
+    EXPECT_THROW(args.getDouble("s", 1.0), ConfigError);
 }
 
 } // namespace

@@ -71,13 +71,8 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <deque>
-#include <future>
-#include <limits>
-#include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "baseline/hnsw.h"
@@ -89,6 +84,7 @@
 #include "dataset/io.h"
 #include "dataset/recall.h"
 #include "dataset/synthetic.h"
+#include "harness/loadgen.h"
 #include "obs/metrics.h"
 #include "live/live_index.h"
 #include "registry/index_factory.h"
@@ -98,13 +94,6 @@
 using namespace juno;
 
 namespace {
-
-/** Valueless flags (presence is the value). */
-bool
-isBareFlag(const std::string &key)
-{
-    return key == "smoke";
-}
 
 /**
  * Set by SIGINT/SIGTERM during serve. Client loops stop submitting,
@@ -119,77 +108,6 @@ handleStopSignal(int)
 {
     g_interrupted.store(true);
 }
-
-/** Tiny --key value argument map. */
-class Args {
-  public:
-    Args(int argc, char **argv, int first)
-    {
-        for (int i = first; i < argc; ++i) {
-            std::string key = argv[i];
-            if (key.rfind("--", 0) != 0)
-                fatal("expected --option, got '" + key + "'");
-            key = key.substr(2);
-            if (isBareFlag(key)) {
-                values_[key] = "1";
-                continue;
-            }
-            if (i + 1 >= argc)
-                fatal("missing value for --" + key);
-            values_[key] = argv[++i];
-        }
-    }
-
-    std::string
-    get(const std::string &key, const std::string &fallback) const
-    {
-        auto it = values_.find(key);
-        return it == values_.end() ? fallback : it->second;
-    }
-
-    /**
-     * Integer flag, checked against an inclusive [lo, hi] range. A
-     * typo like `--k ten`, a partial parse (`--k 1x`), overflow
-     * (`--seed 99999999999999999999`) or an out-of-range value must
-     * exit with a diagnostic, not wrap, throw, or reach the engine
-     * (juno::parseInt64InRange rejects all four).
-     */
-    long
-    getInt(const std::string &key, long fallback,
-           long lo = std::numeric_limits<long>::min(),
-           long hi = std::numeric_limits<long>::max()) const
-    {
-        auto it = values_.find(key);
-        if (it == values_.end())
-            return fallback;
-        const auto v = parseInt64InRange(it->second, lo, hi);
-        if (!v)
-            fatal("--" + key + " expects an integer in [" +
-                  std::to_string(lo) + ", " + std::to_string(hi) +
-                  "], got '" + it->second + "'");
-        return static_cast<long>(*v);
-    }
-
-    double
-    getDouble(const std::string &key, double fallback) const
-    {
-        auto it = values_.find(key);
-        if (it == values_.end())
-            return fallback;
-        // parseFloat64 also rejects inf/nan, which would otherwise
-        // slip through into threshold comparisons.
-        const auto v = parseFloat64(it->second);
-        if (!v)
-            fatal("--" + key + " expects a finite number, got '" +
-                  it->second + "'");
-        return *v;
-    }
-
-    bool has(const std::string &key) const { return values_.count(key); }
-
-  private:
-    std::map<std::string, std::string> values_;
-};
 
 Metric
 parseMetric(const std::string &name)
@@ -506,9 +424,10 @@ cmdParity(const Args &args)
 
 /**
  * Serves single-query traffic through the micro-batching
- * SearchService: client threads submit one query at a time, the
- * service assembles engine batches, and the run ends with the SLO
- * accounting table (queue/batch/search latency split at p50/p95/p99).
+ * SearchService: harness/loadgen's closed-loop clients submit one
+ * query at a time, the service assembles engine batches, and the run
+ * ends with the SLO accounting table (queue/batch/search latency split
+ * at p50/p95/p99).
  * With --load the service warm-starts from a snapshot.
  */
 int
@@ -655,156 +574,39 @@ cmdServe(const Args &args)
     std::signal(SIGINT, handleStopSignal);
     std::signal(SIGTERM, handleStopSignal);
     service->start();
-    Timer timer;
-    // Synthetic write traffic: one writer paces inserts and deletes
-    // at the requested rates, recycling base vectors under fresh ids.
-    // It only ever deletes ids it inserted itself, so the readers'
-    // ground set never shrinks and every removed id is known-dead.
-    // kBufferFull is backpressure by design (a merge is behind), so
-    // it is counted, not fatal.
-    std::atomic<bool> writer_stop{false};
-    std::atomic<long long> writer_inserts{0};
-    std::atomic<long long> writer_removes{0};
-    std::atomic<long long> writer_rejected{0};
-    std::thread writer;
-    if (insert_rate > 0.0 || delete_rate > 0.0)
-        writer = std::thread([&] {
-            std::deque<idx_t> mine;
-            idx_t next_id = data.base.rows() + 1000000;
-            using Clock = std::chrono::steady_clock;
-            const auto start = Clock::now();
-            double ins_due = 0.0, del_due = 0.0;
-            while (!writer_stop.load()) {
-                const double t =
-                    std::chrono::duration<double>(Clock::now() - start)
-                        .count();
-                bool worked = false;
-                if (insert_rate > 0.0 && t >= ins_due) {
-                    const float *src = data.base.row(
-                        next_id % data.base.rows());
-                    if (service->insert(src, next_id) ==
-                        MutateStatus::kOk) {
-                        mine.push_back(next_id);
-                        writer_inserts.fetch_add(1);
-                    } else {
-                        writer_rejected.fetch_add(1);
-                    }
-                    ++next_id;
-                    ins_due += 1.0 / insert_rate;
-                    worked = true;
-                }
-                if (delete_rate > 0.0 && t >= del_due) {
-                    if (!mine.empty()) {
-                        if (service->remove(mine.front()) ==
-                            MutateStatus::kOk)
-                            writer_removes.fetch_add(1);
-                        mine.pop_front();
-                        worked = true;
-                    }
-                    // An empty backlog still consumes the tick, or a
-                    // delete burst would fire the moment inserts land.
-                    del_due += 1.0 / delete_rate;
-                }
-                if (!worked)
-                    std::this_thread::sleep_for(
-                        std::chrono::microseconds(200));
-            }
-        });
-    std::atomic<int> client_failures{0};
-    std::atomic<long long> client_shed{0};
-    std::atomic<long long> client_degraded{0};
-    std::vector<std::thread> threads;
-    for (int c = 0; c < clients; ++c)
-        threads.emplace_back([&, c] {
-            // An engine failure surfaces through future.get(); catch
-            // it here — an exception escaping a std::thread would
-            // std::terminate past main()'s exit-code handling.
-            try {
-                std::deque<std::future<ResultList>> inflight;
-                // Typed shedding (expired in queue, stopped during an
-                // interrupt drain) is overload behaving as designed,
-                // not a client failure.
-                auto reap = [&](std::future<ResultList> &f) {
-                    try {
-                        if (f.get().degraded)
-                            client_degraded.fetch_add(1);
-                    } catch (const RejectedError &) {
-                        client_shed.fetch_add(1);
-                    }
-                };
-                idx_t qi = static_cast<idx_t>(c) % queries.rows();
-                // Spread the remainder so exactly --requests are
-                // served (integer division alone would drop
-                // total % clients, or everything when
-                // requests < clients).
-                const long mine =
-                    total / clients + (c < total % clients ? 1 : 0);
-                for (long i = 0; i < mine; ++i) {
-                    if (g_interrupted.load())
-                        break;
-                    if (inflight.size() >=
-                        static_cast<std::size_t>(window)) {
-                        reap(inflight.front());
-                        inflight.pop_front();
-                    }
-                    RejectReason reason = RejectReason::kNone;
-                    auto f = service->submit(queries.row(qi), k,
-                                             &reason);
-                    // Closed-loop backpressure: a full queue means
-                    // the dispatcher is behind — yield and retry so
-                    // exactly --requests get served instead of
-                    // silently shrinking the run. Other reject
-                    // reasons (stopped, expired) are terminal for
-                    // this request; its future carries the typed
-                    // error and reap() accounts it.
-                    while (reason == RejectReason::kQueueFull &&
-                           service->running() &&
-                           !g_interrupted.load()) {
-                        std::this_thread::yield();
-                        f = service->submit(queries.row(qi), k,
-                                            &reason);
-                    }
-                    qi = (qi + 1) % queries.rows();
-                    inflight.push_back(std::move(f));
-                }
-                while (!inflight.empty()) {
-                    reap(inflight.front());
-                    inflight.pop_front();
-                }
-            } catch (const std::exception &err) {
-                std::fprintf(stderr, "juno_cli: client %d: %s\n", c,
-                             err.what());
-                client_failures.fetch_add(1);
-            }
-        });
-    for (auto &t : threads)
-        t.join();
-    const double secs = timer.seconds();
-    writer_stop.store(true);
-    if (writer.joinable())
-        writer.join();
+    // Closed-loop clients serve exactly --requests (a full queue is
+    // backpressure, retried) unless interrupted. With a write rate,
+    // loadgen's paced writer recycles base vectors under fresh ids
+    // alongside them and polls every 16th insert until it is visible.
+    LoadSpec load_spec;
+    load_spec.clients = clients;
+    load_spec.window = window;
+    load_spec.k = k;
+    load_spec.requests = static_cast<std::uint64_t>(total);
+    load_spec.stop = &g_interrupted;
+    load_spec.writes.insert_rate = insert_rate;
+    load_spec.writes.delete_rate = delete_rate;
+    load_spec.writes.source = data.base.view();
+    const LoadResult load = runLoad(*service, queries, load_spec);
+    const WriteResult &writes = load.writes;
     if (g_interrupted.load())
         std::printf("interrupted: draining accepted requests, final "
                     "snapshots still written\n");
 
-    // Freshness gate (the CI leg greps "freshness: OK"): against the
-    // still-running service, an inserted vector must be returned by
-    // the very next query, and a deleted one must stay gone — both
-    // immediately and across the next merge publish (the window where
-    // a lost tombstone would resurrect it).
+    // Freshness gate (the CI leg greps "freshness: OK"): every probe
+    // the writer polled through the service became visible, and, on
+    // the still-running index, an inserted vector is returned by the
+    // very next search and a deleted one stays gone, both immediately
+    // and across the next merge publish (the window where a lost
+    // tombstone would resurrect it). These searches go to the index
+    // directly so the service's counters stay the load's alone.
     bool freshness_ok = true;
     if (live_mode && !g_interrupted.load()) {
         auto *live = dynamic_cast<LiveIndex *>(&index);
         JUNO_REQUIRE(live != nullptr, "live mode without a LiveIndex");
         const idx_t probe_id = data.base.rows() + 500000000;
-        // A copy of the query is the guaranteed nearest neighbour
-        // under L2 (distance 0); under inner product rank follows
-        // norm, so scale the copy until it dominates.
-        std::vector<float> probe_vec(queries.row(0),
-                                     queries.row(0) + index.dim());
-        if (index.metric() == Metric::kInnerProduct)
-            for (float &v : probe_vec)
-                v *= 16.0f;
+        const std::vector<float> probe_vec =
+            probeVector(queries.row(0), index.dim(), index.metric());
         const float *probe = probe_vec.data();
         MutateStatus st = service->insert(probe, probe_id);
         if (st == MutateStatus::kBufferFull) {
@@ -814,8 +616,9 @@ cmdServe(const Args &args)
             st = service->insert(probe, probe_id);
         }
         auto sees = [&](idx_t id) {
-            const ResultList r = service->submit(probe, 10).get();
-            for (const Neighbor &n : r)
+            const auto results =
+                index.search(FloatMatrixView(probe, 1, index.dim()), 10);
+            for (const Neighbor &n : results.front())
                 if (n.id == id)
                     return true;
             return false;
@@ -827,14 +630,17 @@ cmdServe(const Args &args)
         const bool gone_now = !sees(probe_id);
         live->mergeNow();
         const bool gone_after_merge = !sees(probe_id);
-        freshness_ok = insert_seen && remove_applied && gone_now &&
-                       gone_after_merge;
+        freshness_ok = writes.probes_missed == 0 && insert_seen &&
+                       remove_applied && gone_now && gone_after_merge;
         if (freshness_ok)
             std::printf("freshness: OK\n");
         else
-            std::printf("freshness: VIOLATION (insert %s seen=%d, "
-                        "remove applied=%d gone=%d gone-after-merge="
-                        "%d)\n",
+            std::printf("freshness: VIOLATION (%llu of %llu probes "
+                        "missed; insert %s seen=%d, remove applied=%d "
+                        "gone=%d gone-after-merge=%d)\n",
+                        static_cast<unsigned long long>(
+                            writes.probes_missed),
+                        static_cast<unsigned long long>(writes.probes),
                         mutateStatusName(st),
                         static_cast<int>(insert_seen),
                         static_cast<int>(remove_applied),
@@ -844,32 +650,32 @@ cmdServe(const Args &args)
     service->stop();
     std::signal(SIGINT, SIG_DFL);
     std::signal(SIGTERM, SIG_DFL);
-    JUNO_REQUIRE(client_failures.load() == 0,
-                 client_failures.load() << " serving clients failed");
 
     const auto snap = service->snapshot();
+    const RequestTally &reads = load.reads;
     std::printf("served %llu requests in %.2fs: %.0f QPS, mean batch "
                 "%.1f, rejected %llu\n",
-                static_cast<unsigned long long>(snap.completed), secs,
-                static_cast<double>(snap.completed) / secs,
-                snap.mean_batch,
+                static_cast<unsigned long long>(reads.completed),
+                load.seconds, load.qps, snap.mean_batch,
                 static_cast<unsigned long long>(snap.rejected_full));
-    std::printf("overload: shed %lld (client view), degraded %llu "
-                "(%lld seen), degraded batches %llu, tier %d\n",
-                client_shed.load(),
+    std::printf("overload: shed %llu (client view), degraded %llu "
+                "(%llu seen), degraded batches %llu, tier %d\n",
+                static_cast<unsigned long long>(reads.shed() +
+                                                reads.expired),
                 static_cast<unsigned long long>(snap.degraded),
-                client_degraded.load(),
+                static_cast<unsigned long long>(reads.degraded),
                 static_cast<unsigned long long>(snap.degraded_batches),
                 snap.degradation_tier);
-    // Conservation gate: every accepted request settled exactly once —
-    // completed with a value, failed with the engine's exception, or
-    // expired at dequeue. A violation is a lost or double-counted
-    // future; the chaos CI leg greps for the trailing OK.
-    const bool conserved =
-        snap.submitted == snap.completed + snap.failed + snap.expired;
+    // Conservation gate (harness/loadgen.h): every accepted request
+    // settled exactly once, nothing failed, and the clients' tallies
+    // match the service's counters. A violation is a lost or
+    // double-counted future; the chaos CI leg greps for the trailing
+    // OK.
+    std::string why;
+    const bool ok = conserved(snap, load, &why);
     std::printf("conservation: submitted=%llu completed=%llu "
                 "failed=%llu expired=%llu rejected_full=%llu "
-                "rejected_expired=%llu rejected_stopped=%llu %s\n",
+                "rejected_expired=%llu rejected_stopped=%llu %s%s\n",
                 static_cast<unsigned long long>(snap.submitted),
                 static_cast<unsigned long long>(snap.completed),
                 static_cast<unsigned long long>(snap.failed),
@@ -877,7 +683,7 @@ cmdServe(const Args &args)
                 static_cast<unsigned long long>(snap.rejected_full),
                 static_cast<unsigned long long>(snap.rejected_expired),
                 static_cast<unsigned long long>(snap.rejected_stopped),
-                conserved ? "OK" : "VIOLATION");
+                ok ? "OK" : "VIOLATION: ", why.c_str());
     const struct {
         const char *name;
         const LatencySummary &lat;
@@ -930,13 +736,14 @@ cmdServe(const Args &args)
             static_cast<long long>(snap.live.live_count));
         std::printf(
             "live ops: inserts %llu removes %llu upserts %llu "
-            "rejected %llu (writer: +%lld -%lld, %lld refused)\n",
+            "rejected %llu (writer: +%llu -%llu, %llu refused)\n",
             static_cast<unsigned long long>(snap.live_inserts),
             static_cast<unsigned long long>(snap.live_removes),
             static_cast<unsigned long long>(snap.live_upserts),
             static_cast<unsigned long long>(snap.live_rejected),
-            writer_inserts.load(), writer_removes.load(),
-            writer_rejected.load());
+            static_cast<unsigned long long>(writes.inserts),
+            static_cast<unsigned long long>(writes.removes),
+            static_cast<unsigned long long>(writes.rejected));
     }
 
     // Final observability dumps: the service is still alive, so its
@@ -978,7 +785,7 @@ cmdServe(const Args &args)
                          trace_out.c_str());
         }
     }
-    return conserved && freshness_ok ? 0 : 1;
+    return ok && freshness_ok ? 0 : 1;
 }
 
 void
