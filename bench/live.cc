@@ -168,11 +168,11 @@ writeJson(const std::string &path, const Options &opt, const Leg &base,
         << ", \"rejected\": " << w.rejected << "},\n"
         << "  \"freshness_lag_us\": {\"probes\": " << w.probes
         << ", \"missed\": " << w.probes_missed;
-    if (!w.lag_us.empty())
-        out << ", \"p50\": " << w.lag_us.quantile(0.50)
-            << ", \"p95\": " << w.lag_us.quantile(0.95)
-            << ", \"p99\": " << w.lag_us.quantile(0.99)
-            << ", \"max\": " << w.lag_us.quantile(1.0);
+    if (w.lag_us.count > 0)
+        out << ", \"p50\": " << w.lag_us.p50
+            << ", \"p95\": " << w.lag_us.p95
+            << ", \"p99\": " << w.lag_us.p99
+            << ", \"max\": " << w.lag_us.max;
     out << "},\n"
         << "  \"live\": {\"generation\": " << live.generation
         << ", \"generations_published\": "
@@ -260,11 +260,11 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(wr.probes),
                 static_cast<unsigned long long>(wr.probes_missed));
     // No visible probe leaves no lag to summarise; the freshness gate
-    // below reports that run instead of dying on an empty sketch.
-    if (!wr.lag_us.empty())
+    // below reports that run.
+    if (wr.lag_us.count > 0)
         std::printf(", p50 %.0fus p95 %.0fus p99 %.0fus max %.0fus",
-                    wr.lag_us.quantile(0.50), wr.lag_us.quantile(0.95),
-                    wr.lag_us.quantile(0.99), wr.lag_us.quantile(1.0));
+                    wr.lag_us.p50, wr.lag_us.p95, wr.lag_us.p99,
+                    wr.lag_us.max);
     std::printf("\nwriter: +%llu -%llu (%llu rejected); live: "
                 "generation %llu, %llu published, %llu merges, "
                 "%lld ids live\n",

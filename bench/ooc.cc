@@ -39,7 +39,9 @@
 #include "baseline/ivfpq_index.h"
 #include "bench_common.h"
 #include "common/build_info.h"
+#include "common/logging.h"
 #include "common/mmap_blob.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "common/timer.h"
 #include "dataset/ground_truth.h"
@@ -58,57 +60,46 @@ using namespace juno;
 
 namespace {
 
+/** Command-line settings; parseArgs() fills every field. */
 struct Options {
     bool smoke = false;
     std::string json_path;
-    idx_t num_points = bench::scale1M();
-    idx_t k = 10;
-    idx_t nprobs = 8;
+    idx_t num_points = 0;
+    idx_t k = 0;
+    idx_t nprobs = 0;
     /** Queries between evictions (the simulated pressure period). */
-    idx_t evict_every = 8;
+    idx_t evict_every = 0;
     /** Skewed requests per measured pass. */
-    idx_t requests = 2048;
+    idx_t requests = 0;
 };
+
+const char kUsage[] =
+    "usage: bench_ooc [--smoke] [--json path] [--n N] [--k K] "
+    "[--nprobs P]\n"
+    "                 [--requests R] [--evict-every E]\n"
+    "  --smoke is a preset; explicit flags override it\n";
 
 Options
 parseArgs(int argc, char **argv)
 {
     Options opt;
-    for (int a = 1; a < argc; ++a) {
-        const std::string arg = argv[a];
-        auto value = [&](const char *name) -> std::string {
-            if (a + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n", name);
-                std::exit(2);
-            }
-            return argv[++a];
-        };
-        if (arg == "--smoke")
-            opt.smoke = true;
-        else if (arg == "--json")
-            opt.json_path = value("--json");
-        else if (arg == "--n")
-            opt.num_points = std::atoll(value("--n").c_str());
-        else if (arg == "--k")
-            opt.k = std::atoll(value("--k").c_str());
-        else if (arg == "--nprobs")
-            opt.nprobs = std::atoll(value("--nprobs").c_str());
-        else if (arg == "--requests")
-            opt.requests = std::atoll(value("--requests").c_str());
-        else if (arg == "--evict-every")
-            opt.evict_every =
-                std::atoll(value("--evict-every").c_str());
-        else {
-            std::fprintf(stderr,
-                         "usage: bench_ooc [--smoke] [--json path] "
-                         "[--n N] [--k K] [--nprobs P] "
-                         "[--requests R] [--evict-every E]\n");
-            std::exit(2);
-        }
-    }
-    if (opt.smoke) {
-        opt.num_points = 6000;
-        opt.requests = 512;
+    try {
+        const Args args(argc, argv, 1, {"smoke"},
+                        {"smoke", "json", "n", "k", "nprobs", "requests",
+                         "evict-every"});
+        // The preset is only a fallback, so an explicit flag wins.
+        opt.smoke = args.has("smoke");
+        opt.json_path = args.get("json", "");
+        opt.num_points = args.getInt(
+            "n", opt.smoke ? 6000 : bench::scale1M(), 1, 100000000);
+        opt.k = args.getInt("k", 10, 1, 1000000);
+        opt.nprobs = args.getInt("nprobs", 8, 1, 1000000);
+        opt.requests =
+            args.getInt("requests", opt.smoke ? 512 : 2048, 1, 100000000);
+        opt.evict_every = args.getInt("evict-every", 8, 1, 100000000);
+    } catch (const ConfigError &err) {
+        std::fprintf(stderr, "bench_ooc: %s\n%s", err.what(), kUsage);
+        std::exit(2);
     }
     return opt;
 }

@@ -51,23 +51,6 @@ QuantileSketch::add(const std::vector<double> &xs)
 }
 
 void
-QuantileSketch::merge(const QuantileSketch &other)
-{
-    if (other.data_.empty())
-        return;
-    if (&other == this) { // self-merge: duplicate without iterating a
-                          // vector that reallocates under the insert
-        const std::size_t n = data_.size();
-        data_.reserve(2 * n);
-        for (std::size_t i = 0; i < n; ++i)
-            data_.push_back(data_[i]);
-    } else {
-        data_.insert(data_.end(), other.data_.begin(), other.data_.end());
-    }
-    sorted_ = false;
-}
-
-void
 QuantileSketch::ensureSorted() const
 {
     if (!sorted_) {

@@ -36,21 +36,13 @@ class RunningStat {
  * Holds all samples to answer arbitrary quantile queries. Quartile
  * accessors match the paper's plots: Q1/Q3 are the 25th/75th
  * percentiles, Q0/Q4 are the Tukey whiskers Q1-1.5*IQR / Q3+1.5*IQR.
+ * Memory grows with the stream, so it serves the offline benches and
+ * tests; long-running recorders use HistogramMetric (obs/metrics.h).
  */
 class QuantileSketch {
   public:
     void add(double x);
     void add(const std::vector<double> &xs);
-
-    /**
-     * Folds @p other's samples into this sketch. Quantiles of the
-     * merged sketch are exactly those of the union of both sample
-     * streams, so per-thread sketches can accumulate contention-free
-     * and be combined at snapshot time (the serving layer's
-     * ServiceStats does exactly this instead of serialising every
-     * add() behind one mutex).
-     */
-    void merge(const QuantileSketch &other);
 
     std::size_t count() const { return data_.size(); }
     bool empty() const { return data_.empty(); }

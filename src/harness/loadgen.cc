@@ -201,6 +201,7 @@ runWriter(SearchService &service, FloatMatrixView queries,
     idx_t next_id = w.source.rows() + kFirstWriterIdOffset;
     const auto start = Clock::now();
     double ins_due = 0.0, del_due = 0.0;
+    HistogramMetric lag_us;
     while (!done.load() && !(spec.stop != nullptr && spec.stop->load())) {
         const double t =
             std::chrono::duration<double>(Clock::now() - start).count();
@@ -224,7 +225,7 @@ runWriter(SearchService &service, FloatMatrixView queries,
                     ++out.probes;
                     if (pollUntilVisible(service, vec, next_id, spec.k,
                                          out.polls))
-                        out.lag_us.add(lag.micros());
+                        lag_us.observe(lag.micros());
                     else
                         ++out.probes_missed;
                 }
@@ -251,6 +252,7 @@ runWriter(SearchService &service, FloatMatrixView queries,
         if (!worked)
             std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
+    out.lag_us = lag_us.summary();
 }
 
 } // namespace

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/matrix.h"
-#include "common/stats.h"
 #include "serve/search_service.h"
 
 namespace juno {
@@ -101,7 +100,9 @@ struct WriteResult {
     std::uint64_t rejected = 0; ///< refused (kBufferFull: merge behind)
     std::uint64_t probes = 0;
     std::uint64_t probes_missed = 0; ///< never seen in 200 queries
-    QuantileSketch lag_us; ///< insert -> first query returning it
+    /** Insert -> first query returning it, over the visible probes
+     * (count 0 when none became visible). */
+    HistogramSummary lag_us;
     RequestTally polls;    ///< the probes' queries
 };
 

@@ -1,8 +1,10 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <thread>
+#include <cstring>
+#include <iterator>
 
 #include "common/logging.h"
 
@@ -105,50 +107,91 @@ summaryJson(const HistogramSummary &s)
 
 } // namespace
 
-void
-HistogramMetric::observe(double v)
+std::size_t
+HistogramMetric::bucketOf(double v)
 {
-    Shard &shard = localShard();
-    MutexLock lock(shard.mutex);
-    shard.sketch.add(v);
+    if (!(v > 0.0)) // also catches NaN
+        return 0;
+    // The unbiased exponent picks the octave (subnormals read -1023,
+    // infinity 1024), the top mantissa bits the linear sub-bucket.
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    const int exp = static_cast<int>((bits >> 52) & 0x7FF) - 1023;
+    if (exp < kMinExp)
+        return 0;
+    if (exp >= kMaxExp)
+        return kBuckets - 1;
+    const std::size_t sub = static_cast<std::size_t>(
+        (bits >> (52 - kSubBucketBits)) & (kSubBuckets - 1));
+    return 1 + static_cast<std::size_t>(exp - kMinExp) * kSubBuckets + sub;
 }
 
 void
-HistogramMetric::observe(const std::vector<double> &vs)
+HistogramMetric::observe(double v)
 {
-    if (vs.empty())
-        return;
-    Shard &shard = localShard();
-    MutexLock lock(shard.mutex);
-    shard.sketch.add(vs);
+    buckets_[bucketOf(v)].fetch_add(1, std::memory_order_relaxed);
+    double cur = sum_.load(std::memory_order_relaxed);
+    while (!sum_.compare_exchange_weak(cur, cur + v,
+                                       std::memory_order_relaxed)) {
+    }
+    cur = min_.load(std::memory_order_relaxed);
+    while (v < cur && !min_.compare_exchange_weak(
+                          cur, v, std::memory_order_relaxed)) {
+    }
+    cur = max_.load(std::memory_order_relaxed);
+    while (v > cur && !max_.compare_exchange_weak(
+                          cur, v, std::memory_order_relaxed)) {
+    }
+    // Release: a summary that reads this count also sees the bucket,
+    // sum, min and max writes above.
+    count_.fetch_add(1, std::memory_order_release);
 }
 
 HistogramSummary
 HistogramMetric::summary() const
 {
-    QuantileSketch merged;
-    for (const Shard &shard : shards_) {
-        MutexLock lock(shard.mutex);
-        merged.merge(shard.sketch);
-    }
     HistogramSummary out;
-    out.count = merged.count();
-    if (merged.empty())
+    const std::uint64_t n = count_.load(std::memory_order_acquire);
+    if (n == 0)
         return out;
-    out.mean = merged.mean();
-    out.p50 = merged.quantile(0.5);
-    out.p95 = merged.quantile(0.95);
-    out.p99 = merged.quantile(0.99);
-    out.max = merged.quantile(1.0);
-    return out;
-}
+    const double lo = min_.load(std::memory_order_relaxed);
+    const double hi = max_.load(std::memory_order_relaxed);
+    out.count = static_cast<std::size_t>(n);
+    out.mean = sum_.load(std::memory_order_relaxed) / static_cast<double>(n);
+    out.max = hi;
 
-HistogramMetric::Shard &
-HistogramMetric::localShard()
-{
-    const std::size_t h =
-        std::hash<std::thread::id>{}(std::this_thread::get_id());
-    return shards_[h % kShards];
+    auto representative = [&](std::size_t b) {
+        if (b == 0)
+            return lo;
+        if (b == kBuckets - 1)
+            return hi;
+        const std::size_t i = b - 1;
+        const double mid =
+            std::ldexp(1.0 + (static_cast<double>(i % kSubBuckets) + 0.5) /
+                                 static_cast<double>(kSubBuckets),
+                       static_cast<int>(i / kSubBuckets) + kMinExp);
+        return std::min(std::max(mid, lo), hi);
+    };
+    // Nearest rank ceil(q*n), walked in one pass over the buckets.
+    // Counts only grow, so the walk reaches every rank of the n
+    // observations it was sized for.
+    const struct {
+        double q;
+        double *value;
+    } targets[] = {{0.50, &out.p50}, {0.95, &out.p95}, {0.99, &out.p99}};
+    std::size_t next = 0;
+    std::uint64_t seen = 0;
+    for (std::size_t b = 0; b < kBuckets && next < std::size(targets);
+         ++b) {
+        seen += buckets_[b].load(std::memory_order_relaxed);
+        while (next < std::size(targets) &&
+               static_cast<double>(seen) >=
+                   std::ceil(targets[next].q * static_cast<double>(n))) {
+            *targets[next].value = representative(b);
+            ++next;
+        }
+    }
+    return out;
 }
 
 MetricsRegistry::Registration &
@@ -183,78 +226,6 @@ MetricsRegistry::global()
     // worse failure mode than a leak the OS reclaims anyway.
     static MetricsRegistry *instance = new MetricsRegistry();
     return *instance;
-}
-
-std::shared_ptr<Counter>
-MetricsRegistry::counter(const std::string &name, const std::string &help)
-{
-    JUNO_REQUIRE(validMetricName(name),
-                 "invalid metric name '" << name << "'");
-    MutexLock lock(mutex_);
-    auto it = entries_.find(name);
-    if (it != entries_.end()) {
-        JUNO_REQUIRE(it->second.kind == Kind::kCounter,
-                     "metric '" << name
-                                << "' already registered with a "
-                                   "different kind");
-        return it->second.counter;
-    }
-    Entry entry;
-    entry.kind = Kind::kCounter;
-    entry.help = help;
-    entry.id = next_id_++;
-    entry.counter = std::make_shared<Counter>();
-    auto ptr = entry.counter;
-    entries_.emplace(name, std::move(entry));
-    return ptr;
-}
-
-std::shared_ptr<Gauge>
-MetricsRegistry::gauge(const std::string &name, const std::string &help)
-{
-    JUNO_REQUIRE(validMetricName(name),
-                 "invalid metric name '" << name << "'");
-    MutexLock lock(mutex_);
-    auto it = entries_.find(name);
-    if (it != entries_.end()) {
-        JUNO_REQUIRE(it->second.kind == Kind::kGauge,
-                     "metric '" << name
-                                << "' already registered with a "
-                                   "different kind");
-        return it->second.gauge;
-    }
-    Entry entry;
-    entry.kind = Kind::kGauge;
-    entry.help = help;
-    entry.id = next_id_++;
-    entry.gauge = std::make_shared<Gauge>();
-    auto ptr = entry.gauge;
-    entries_.emplace(name, std::move(entry));
-    return ptr;
-}
-
-std::shared_ptr<HistogramMetric>
-MetricsRegistry::histogram(const std::string &name, const std::string &help)
-{
-    JUNO_REQUIRE(validMetricName(name),
-                 "invalid metric name '" << name << "'");
-    MutexLock lock(mutex_);
-    auto it = entries_.find(name);
-    if (it != entries_.end()) {
-        JUNO_REQUIRE(it->second.kind == Kind::kHistogram,
-                     "metric '" << name
-                                << "' already registered with a "
-                                   "different kind");
-        return it->second.histogram;
-    }
-    Entry entry;
-    entry.kind = Kind::kHistogram;
-    entry.help = help;
-    entry.id = next_id_++;
-    entry.histogram = std::make_shared<HistogramMetric>();
-    auto ptr = entry.histogram;
-    entries_.emplace(name, std::move(entry));
-    return ptr;
 }
 
 MetricsRegistry::Registration
@@ -399,16 +370,13 @@ MetricsRegistry::renderPrometheus() const
                        promEscape(entry.help, false) + "\n";
             const char *type = "gauge";
             switch (entry.kind) {
-            case Kind::kCounter:
             case Kind::kCounterFn:
                 type = "counter";
                 break;
-            case Kind::kGauge:
             case Kind::kGaugeFn:
             case Kind::kInfo:
                 type = "gauge";
                 break;
-            case Kind::kHistogram:
             case Kind::kSummaryFn:
                 type = "summary";
                 break;
@@ -416,24 +384,14 @@ MetricsRegistry::renderPrometheus() const
             out += "# TYPE " + base + " " + type + "\n";
         }
         switch (entry.kind) {
-        case Kind::kCounter:
-            out += name + " " + std::to_string(entry.counter->value()) +
-                   "\n";
-            break;
         case Kind::kCounterFn:
             out += name + " " + std::to_string(entry.counter_fn()) + "\n";
-            break;
-        case Kind::kGauge:
-            out += name + " " + promNumber(entry.gauge->value()) + "\n";
             break;
         case Kind::kGaugeFn:
             out += name + " " + promNumber(entry.gauge_fn()) + "\n";
             break;
-        case Kind::kHistogram:
         case Kind::kSummaryFn: {
-            const HistogramSummary s = entry.kind == Kind::kHistogram
-                                           ? entry.histogram->summary()
-                                           : entry.summary_fn();
+            const HistogramSummary s = entry.summary_fn();
             out += name + "{quantile=\"0.5\"} " + promNumber(s.p50) + "\n";
             out += name + "{quantile=\"0.95\"} " + promNumber(s.p95) + "\n";
             out += name + "{quantile=\"0.99\"} " + promNumber(s.p99) + "\n";
@@ -471,20 +429,11 @@ MetricsRegistry::renderJson() const
         first = false;
         out += "\"" + jsonEscape(name) + "\":";
         switch (entry.kind) {
-        case Kind::kCounter:
-            out += std::to_string(entry.counter->value());
-            break;
         case Kind::kCounterFn:
             out += std::to_string(entry.counter_fn());
             break;
-        case Kind::kGauge:
-            out += jsonNumber(entry.gauge->value());
-            break;
         case Kind::kGaugeFn:
             out += jsonNumber(entry.gauge_fn());
-            break;
-        case Kind::kHistogram:
-            out += summaryJson(entry.histogram->summary());
             break;
         case Kind::kSummaryFn:
             out += summaryJson(entry.summary_fn());

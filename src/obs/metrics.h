@@ -1,23 +1,16 @@
 /**
  * @file
- * Process-wide metrics registry: counters, gauges and histograms with
- * Prometheus text exposition and JSON export.
+ * Process-wide metrics registry with Prometheus text exposition and
+ * JSON export, plus HistogramMetric, the one bounded latency histogram
+ * every serving-layer distribution records into.
  *
- * Two registration styles, one export door:
- *
- *  - Owned instruments (counter()/gauge()/histogram()): get-or-create
- *    by name; callers hold a shared_ptr and record into it directly.
- *    Counters/gauges are lock-free atomics; histograms shard their
- *    QuantileSketch by recording thread so concurrent observe() calls
- *    from worker threads rarely contend.
- *
- *  - Pull callbacks (counterCallback()/gaugeCallback()/
- *    summaryCallback()/info()): for subsystems that already keep their
- *    own counters (ServiceStats, HotListCache::Counters,
- *    ResourceUsage) — the registry calls the lambda at export time
- *    instead of duplicating state. Registration is RAII: drop the
- *    returned handle and the callback is gone, so a stopped service
- *    cannot leave dangling lambdas behind.
+ * Registration is pull-only: counterCallback()/gaugeCallback()/
+ * summaryCallback()/info() register a lambda over state the subsystem
+ * already keeps (ServiceStats, HotListCache::Counters, ResourceUsage),
+ * and the registry calls it at export time instead of duplicating that
+ * state. Registration is RAII: drop the returned handle and the
+ * callback is gone, so a stopped service cannot leave dangling lambdas
+ * behind.
  *
  * Export never runs callbacks under the registry lock (a callback that
  * itself touches the registry, or a lock held across a slow snapshot,
@@ -26,17 +19,16 @@
 #ifndef JUNO_OBS_METRICS_H
 #define JUNO_OBS_METRICS_H
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/stats.h"
 #include "common/thread_annotations.h"
 
 namespace juno {
@@ -51,67 +43,54 @@ struct HistogramSummary {
     double max = 0.0;
 };
 
-/** Monotonically increasing counter (relaxed atomic increments). */
-class Counter {
-  public:
-    void inc(std::uint64_t delta = 1)
-    {
-        value_.fetch_add(delta, std::memory_order_relaxed);
-    }
-
-    std::uint64_t value() const
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<std::uint64_t> value_{0};
-};
-
-/** Last-write-wins scalar (set/add from any thread). */
-class Gauge {
-  public:
-    void set(double v) { value_.store(v, std::memory_order_relaxed); }
-
-    void add(double delta)
-    {
-        double cur = value_.load(std::memory_order_relaxed);
-        while (!value_.compare_exchange_weak(cur, cur + delta,
-                                             std::memory_order_relaxed)) {
-        }
-    }
-
-    double value() const { return value_.load(std::memory_order_relaxed); }
-
-  private:
-    std::atomic<double> value_{0.0};
-};
-
 /**
- * Quantile-tracking histogram: observations land in one of kShards
- * thread-hashed QuantileSketch shards (each behind its own mutex, on
- * its own cache line), merged only at summary() time — contention-free
- * recording, exact union quantiles. ServiceStats keeps its four
- * latency components in four of these.
+ * Fixed-memory, lock-free latency histogram with log-linear buckets in
+ * the style of HdrHistogram: kSubBuckets linear sub-buckets per power
+ * of two over [2^kMinExp, 2^kMaxExp) (about 1e-6 to 1.8e13), plus one
+ * underflow bucket (values <= 0 or below the range) and one overflow
+ * bucket (values at or above it). Bucket counts are relaxed atomics,
+ * so any number of threads record concurrently without a lock, and the
+ * footprint is fixed at construction: nothing grows with the number of
+ * observations.
+ *
+ * count, sum (hence mean = sum / count), min and max are exact.
+ *
+ * Quantile contract: the reported q-quantile is the representative of
+ * the bucket that holds the nearest-rank sample x_(ceil(q*n)), clamped
+ * to [min, max]. An in-range bucket's representative is its midpoint,
+ * within 1/128 (< 1%) relative error of every value in it; the
+ * underflow bucket reports min and the overflow bucket max. A constant
+ * stream therefore reports its value exactly.
+ *
+ * A summary racing with observe() sees every observation counted
+ * before it read the count, and possibly some later ones.
  */
 class HistogramMetric {
   public:
     void observe(double v);
-    void observe(const std::vector<double> &vs);
 
-    /** Merges all shards and digests them (count/mean/p50/p95/p99/max). */
+    /** count/mean/max exact; p50/p95/p99 per the quantile contract. */
     HistogramSummary summary() const;
 
   private:
-    static constexpr std::size_t kShards = 8;
-    struct alignas(64) Shard {
-        mutable Mutex mutex;
-        QuantileSketch sketch JUNO_GUARDED_BY(mutex);
-    };
+    static constexpr int kSubBucketBits = 6;
+    static constexpr std::size_t kSubBuckets = std::size_t{1}
+                                               << kSubBucketBits;
+    static constexpr int kMinExp = -20;
+    static constexpr int kMaxExp = 44;
+    /** Underflow + (kMaxExp - kMinExp) octaves + overflow. */
+    static constexpr std::size_t kBuckets =
+        2 + static_cast<std::size_t>(kMaxExp - kMinExp) * kSubBuckets;
 
-    Shard &localShard();
+    static std::size_t bucketOf(double v);
 
-    std::array<Shard, kShards> shards_;
+    /** Zeroed by make_unique's value-initialisation. */
+    std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_ =
+        std::make_unique<std::atomic<std::uint64_t>[]>(kBuckets);
+    std::atomic<std::uint64_t> count_{0};
+    std::atomic<double> sum_{0.0};
+    std::atomic<double> min_{std::numeric_limits<double>::infinity()};
+    std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
 /**
@@ -155,17 +134,6 @@ class MetricsRegistry {
 
     /** The process-wide registry (intentionally leaked singleton). */
     static MetricsRegistry &global();
-
-    /**
-     * Get-or-create an owned instrument. Throws ConfigError when the
-     * name is invalid or already registered with a different kind.
-     */
-    std::shared_ptr<Counter> counter(const std::string &name,
-                                     const std::string &help);
-    std::shared_ptr<Gauge> gauge(const std::string &name,
-                                 const std::string &help);
-    std::shared_ptr<HistogramMetric> histogram(const std::string &name,
-                                               const std::string &help);
 
     /**
      * Pull-mode registration: @p fn runs at every export. The callback
@@ -218,9 +186,6 @@ class MetricsRegistry {
 
   private:
     enum class Kind {
-        kCounter,
-        kGauge,
-        kHistogram,
         kCounterFn,
         kGaugeFn,
         kSummaryFn,
@@ -228,12 +193,9 @@ class MetricsRegistry {
     };
 
     struct Entry {
-        Kind kind = Kind::kCounter;
+        Kind kind = Kind::kCounterFn;
         std::string help;
         std::uint64_t id = 0;
-        std::shared_ptr<Counter> counter;
-        std::shared_ptr<Gauge> gauge;
-        std::shared_ptr<HistogramMetric> histogram;
         std::function<std::uint64_t()> counter_fn;
         std::function<double()> gauge_fn;
         std::function<HistogramSummary()> summary_fn;

@@ -618,7 +618,8 @@ SearchService::dispatchLoop()
     std::vector<float> queries;
     SearchResults results;
     std::vector<std::uint8_t> degraded_flags;
-    std::vector<double> lat_queue, lat_batch, lat_search, lat_total;
+    // The policy's queue-wait window takes one batch of samples.
+    std::vector<double> lat_queue;
     const idx_t dim = index_.dim();
 
     while (queue_.popBatch(batch, static_cast<std::size_t>(
@@ -727,9 +728,6 @@ SearchService::dispatchLoop()
         const auto t_done = Clock::now();
 
         lat_queue.clear();
-        lat_batch.clear();
-        lat_search.clear();
-        lat_total.clear();
         std::size_t n_degraded = 0;
         for (idx_t i = 0; i < n; ++i) {
             auto &r = batch[static_cast<std::size_t>(i)];
@@ -755,14 +753,14 @@ SearchService::dispatchLoop()
             if (list.degraded)
                 ++n_degraded;
             r.promise.set_value(std::move(list));
-            lat_queue.push_back(micros(t_drain - r.t_submit));
-            lat_batch.push_back(micros(t_ready - t_drain));
-            lat_search.push_back(micros(t_done - t_ready));
-            lat_total.push_back(micros(t_done - r.t_submit));
+            const double queue_us = micros(t_drain - r.t_submit);
+            stats_.recordCompletion(queue_us, micros(t_ready - t_drain),
+                                    micros(t_done - t_ready),
+                                    micros(t_done - r.t_submit));
+            if (policy_ != nullptr)
+                lat_queue.push_back(queue_us);
         }
         if (ok) {
-            stats_.recordCompletions(lat_queue, lat_batch, lat_search,
-                                     lat_total);
             stats_.recordBatch(static_cast<std::size_t>(n));
             if (n_degraded > 0)
                 stats_.recordDegraded(n_degraded);

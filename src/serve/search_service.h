@@ -24,8 +24,8 @@
  * RejectReason and the per-reason ServiceStats counter bumps, so
  * overload sheds at the door instead of stretching everyone's p99.
  * Latency SLO accounting: each request's latency is split into queue /
- * batch-assembly / search components feeding per-thread QuantileSketch
- * shards (p50/p95/p99 via ServiceStats::snapshot()).
+ * batch-assembly / search components feeding fixed-memory
+ * HistogramMetrics (p50/p95/p99 via ServiceStats::snapshot()).
  *
  * Overload resilience (DESIGN.md "Overload resilience & fault
  * injection"): requests carry a deadline stamped at submit(); the

@@ -53,22 +53,6 @@ ServiceStats::recordCompletion(double queue_us, double batch_us,
 }
 
 void
-ServiceStats::recordCompletions(const std::vector<double> &queue_us,
-                                const std::vector<double> &batch_us,
-                                const std::vector<double> &search_us,
-                                const std::vector<double> &total_us)
-{
-    const std::size_t n = total_us.size();
-    if (n == 0)
-        return;
-    queue_us_.observe(queue_us);
-    batch_us_.observe(batch_us);
-    search_us_.observe(search_us);
-    total_us_.observe(total_us);
-    completed_.fetch_add(n);
-}
-
-void
 ServiceStats::recordBatch(std::size_t size)
 {
     batches_.fetch_add(1);

@@ -5,19 +5,17 @@
  * components, each feeding a HistogramMetric so snapshots report the
  * p50/p95/p99 a latency SLO is written against.
  *
- * Recording is sharded inside HistogramMetric: each recording thread
- * hashes to one of a fixed set of sketch shards and only locks that
- * shard, and summaries merge the shards — quantiles of the merged
- * sketch are exactly those of the union of samples, so nothing is
- * lost relative to one global sketch while dispatcher threads never
- * serialise behind each other on the stats path.
+ * Every counter and histogram is a fixed set of relaxed atomics:
+ * dispatcher threads record lock-free, and the memory a long-running
+ * service spends on its statistics does not grow with the requests it
+ * serves. Counts, means and maxima are exact; quantiles follow
+ * HistogramMetric's contract (within 1% of the nearest-rank sample).
  */
 #ifndef JUNO_SERVE_SERVICE_STATS_H
 #define JUNO_SERVE_SERVICE_STATS_H
 
 #include <atomic>
 #include <cstdint>
-#include <vector>
 
 #include "live/live_index.h"
 #include "obs/metrics.h"
@@ -49,7 +47,7 @@ ResourceUsage readResourceUsage();
 /** p50/p95/p99 summary of one latency component (microseconds). */
 using LatencySummary = HistogramSummary;
 
-/** Counters and latency sketches of one SearchService. */
+/** Counters and latency histograms of one SearchService. */
 class ServiceStats {
   public:
     /**
@@ -134,17 +132,6 @@ class ServiceStats {
     void recordCompletion(double queue_us, double batch_us,
                           double search_us, double total_us);
 
-    /**
-     * Batched variant: all four component vectors must have equal
-     * length n. Takes each component's shard lock once for the whole
-     * batch — the dispatcher's completion loop amortises its stats
-     * cost across the micro-batch like everything else it does.
-     */
-    void recordCompletions(const std::vector<double> &queue_us,
-                           const std::vector<double> &batch_us,
-                           const std::vector<double> &search_us,
-                           const std::vector<double> &total_us);
-
     /** One dispatched batch of @p size requests. */
     void recordBatch(std::size_t size);
 
@@ -208,18 +195,17 @@ class ServiceStats {
     enum class Component { kQueue, kBatch, kSearch, kTotal };
 
     /**
-     * Merges the shards of just one component — what the metrics
-     * registry's per-component summary callbacks pull, so exporting
-     * four summaries does not digest the other three streams four
-     * times over.
+     * Summarises just one component: what the metrics registry's
+     * per-component summary callbacks pull, so exporting four
+     * summaries does not digest the other three histograms each time.
      */
     LatencySummary componentSummary(Component component) const;
 
     /**
-     * Merges each component's shards into one summary per component.
-     * Safe to call concurrently with recording; the snapshot is a
-     * consistent union of everything recorded before the call plus
-     * possibly some records that race with it.
+     * One summary per component plus every counter. Safe to call
+     * concurrently with recording; the snapshot covers everything
+     * recorded before the call plus possibly some records that race
+     * with it.
      */
     Snapshot snapshot() const;
 

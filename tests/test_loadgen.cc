@@ -213,7 +213,7 @@ expectProbesVisible(DatasetKind kind, Metric metric)
     EXPECT_GT(w.removes, 0u);
     EXPECT_GT(w.probes, 0u);
     EXPECT_EQ(w.probes_missed, 0u);
-    EXPECT_EQ(w.lag_us.count(), w.probes);
+    EXPECT_EQ(w.lag_us.count, w.probes);
     EXPECT_GE(w.polls.completed, w.probes);
 }
 

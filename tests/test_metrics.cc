@@ -1,56 +1,34 @@
-/** @file Unit tests for the metrics registry (obs/metrics.h). */
+/** @file Unit tests for the metrics registry and HistogramMetric
+ * (obs/metrics.h). */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "common/stats.h"
 #include "obs/metrics.h"
 
 namespace juno {
 namespace {
 
-TEST(MetricsRegistry, CounterGetOrCreateSharesState)
-{
-    MetricsRegistry reg;
-    auto a = reg.counter("juno_test_total", "test counter");
-    auto b = reg.counter("juno_test_total", "test counter");
-    EXPECT_EQ(a.get(), b.get());
-    a->inc();
-    b->inc(2);
-    EXPECT_EQ(a->value(), 3u);
-    EXPECT_EQ(reg.size(), 1u);
-}
-
-TEST(MetricsRegistry, KindMismatchThrows)
-{
-    MetricsRegistry reg;
-    reg.counter("juno_test_total", "test counter");
-    EXPECT_THROW(reg.gauge("juno_test_total", "now a gauge"),
-                 ConfigError);
-    EXPECT_THROW(reg.histogram("juno_test_total", "now a histogram"),
-                 ConfigError);
-}
-
 TEST(MetricsRegistry, InvalidNameThrows)
 {
     MetricsRegistry reg;
-    EXPECT_THROW(reg.counter("juno test", "spaces"), ConfigError);
-    EXPECT_THROW(reg.counter("", "empty"), ConfigError);
-    EXPECT_THROW(reg.counter("9starts_with_digit", "digit"),
+    const auto zero = [] { return std::uint64_t{0}; };
+    EXPECT_THROW(reg.counterCallback("juno test", "spaces", zero),
                  ConfigError);
-}
-
-TEST(MetricsRegistry, GaugeSetAndAdd)
-{
-    MetricsRegistry reg;
-    auto g = reg.gauge("juno_test_gauge", "test gauge");
-    g->set(2.5);
-    g->add(1.5);
-    EXPECT_DOUBLE_EQ(g->value(), 4.0);
+    EXPECT_THROW(reg.gaugeCallback("", "empty", [] { return 0.0; }),
+                 ConfigError);
+    EXPECT_THROW(reg.summaryCallback("9starts_with_digit", "digit",
+                                     [] { return HistogramSummary{}; }),
+                 ConfigError);
+    EXPECT_EQ(reg.size(), 0u);
 }
 
 TEST(MetricsRegistry, CallbackRegistrationIsRaii)
@@ -84,7 +62,8 @@ TEST(MetricsRegistry, ReplacedRegistrationOldHandleNoOps)
 TEST(MetricsRegistry, PrometheusFormat)
 {
     MetricsRegistry reg;
-    reg.counter("juno_req_total", "Requests")->inc(5);
+    auto req = reg.counterCallback("juno_req_total", "Requests",
+                                   [] { return std::uint64_t{5}; });
     auto info = reg.info("juno_build_info", "Build",
                          {{"git_sha", "abc"}, {"compiler", "gcc"}});
     const std::string text = reg.renderPrometheus();
@@ -126,8 +105,9 @@ TEST(MetricsRegistry, SummaryCallbackRendersQuantiles)
 TEST(MetricsRegistry, JsonExportParsesAsKeyValue)
 {
     MetricsRegistry reg;
-    reg.counter("juno_a_total", "a")->inc(3);
-    reg.gauge("juno_b", "b")->set(1.5);
+    auto a = reg.counterCallback("juno_a_total", "a",
+                                 [] { return std::uint64_t{3}; });
+    auto b = reg.gaugeCallback("juno_b", "b", [] { return 1.5; });
     const std::string json = reg.renderJson();
     EXPECT_EQ(json.front(), '{');
     EXPECT_EQ(json.back(), '}');
@@ -135,62 +115,17 @@ TEST(MetricsRegistry, JsonExportParsesAsKeyValue)
     EXPECT_NE(json.find("\"juno_b\":1.5"), std::string::npos);
 }
 
-TEST(MetricsRegistry, HistogramQuantilesMatchQuantileSketch)
-{
-    MetricsRegistry reg;
-    auto h = reg.histogram("juno_hist", "hist");
-    QuantileSketch reference;
-    for (int i = 1; i <= 1000; ++i) {
-        h->observe(static_cast<double>(i));
-        reference.add(static_cast<double>(i));
-    }
-    const HistogramSummary s = h->summary();
-    EXPECT_EQ(s.count, 1000u);
-    EXPECT_DOUBLE_EQ(s.mean, reference.mean());
-    EXPECT_DOUBLE_EQ(s.p50, reference.quantile(0.50));
-    EXPECT_DOUBLE_EQ(s.p95, reference.quantile(0.95));
-    EXPECT_DOUBLE_EQ(s.p99, reference.quantile(0.99));
-    EXPECT_DOUBLE_EQ(s.max, reference.quantile(1.0));
-}
-
-TEST(MetricsRegistry, ConcurrentRecordingLosesNothing)
-{
-    // The TSan leg runs this too: concurrent inc/observe against the
-    // sharded histogram and atomic counter must be race-free, and the
-    // merged summary must see every observation.
-    MetricsRegistry reg;
-    auto c = reg.counter("juno_mt_total", "mt");
-    auto h = reg.histogram("juno_mt_hist", "mt");
-    constexpr int kThreads = 4;
-    constexpr int kPerThread = 2000;
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t)
-        threads.emplace_back([&, t] {
-            for (int i = 0; i < kPerThread; ++i) {
-                c->inc();
-                h->observe(static_cast<double>(t * kPerThread + i));
-            }
-            // Export racing with recording must also be clean.
-            if (t == 0)
-                (void)reg.renderPrometheus();
-        });
-    for (auto &thread : threads)
-        thread.join();
-    EXPECT_EQ(c->value(),
-              static_cast<std::uint64_t>(kThreads) * kPerThread);
-    EXPECT_EQ(h->summary().count,
-              static_cast<std::size_t>(kThreads) * kPerThread);
-}
-
 TEST(MetricsRegistry, ClearDropsEntriesAndHandlesNoOp)
 {
     MetricsRegistry reg;
     auto handle =
         reg.counterCallback("juno_cb_total", "cb", [] { return 1u; });
-    reg.counter("juno_owned_total", "owned");
+    auto gauge =
+        reg.gaugeCallback("juno_cb_gauge", "cb", [] { return 2.0; });
     reg.clear();
     EXPECT_EQ(reg.size(), 0u);
     handle.release(); // must not throw or resurrect anything
+    gauge.release();
     EXPECT_EQ(reg.size(), 0u);
 }
 
@@ -244,6 +179,160 @@ TEST(MetricsRegistry, LabeledCounterValidatesBaseNameOnly)
     auto ok = reg.counterCallback("good_name", {{"a", "b"}}, "h",
                                   [] { return std::uint64_t{1}; });
     EXPECT_EQ(reg.size(), 1u);
+}
+
+// ---- HistogramMetric: the quantile contract, QuantileSketch as oracle ----
+
+/** The nearest-rank sample x_(ceil(q*n)) of the oracle's stream. */
+double
+nearestRank(const QuantileSketch &oracle, double q)
+{
+    const auto n = static_cast<double>(oracle.count());
+    const double rank = std::max(1.0, std::ceil(q * n));
+    // Interpolation at an exact sample position returns that sample.
+    return n == 1.0 ? oracle.quantile(0.0)
+                    : oracle.quantile((rank - 1.0) / (n - 1.0));
+}
+
+/** Records @p xs into a histogram and the oracle, then checks the
+ * contract: exact count/mean/max, p50/p95/p99 within 1% of the
+ * nearest-rank sample. */
+void
+expectContract(const std::vector<double> &xs)
+{
+    HistogramMetric h;
+    QuantileSketch oracle;
+    for (const double x : xs) {
+        h.observe(x);
+        oracle.add(x);
+    }
+    const HistogramSummary s = h.summary();
+    EXPECT_EQ(s.count, xs.size());
+    EXPECT_DOUBLE_EQ(s.mean, oracle.mean());
+    EXPECT_EQ(s.max, oracle.quantile(1.0));
+    const struct {
+        double q;
+        double got;
+    } quantiles[] = {{0.50, s.p50}, {0.95, s.p95}, {0.99, s.p99}};
+    for (const auto &[q, got] : quantiles) {
+        const double want = nearestRank(oracle, q);
+        EXPECT_LE(std::abs(got - want), 0.01 * std::abs(want))
+            << "q=" << q << " got " << got << " want " << want;
+    }
+}
+
+TEST(HistogramMetric, EmptySummaryIsZero)
+{
+    const HistogramSummary s = HistogramMetric().summary();
+    EXPECT_EQ(s.count, 0u);
+    EXPECT_EQ(s.mean, 0.0);
+    EXPECT_EQ(s.p99, 0.0);
+    EXPECT_EQ(s.max, 0.0);
+}
+
+TEST(HistogramMetric, UniformMatchesNearestRank)
+{
+    std::vector<double> xs;
+    for (int i = 1; i <= 1000; ++i)
+        xs.push_back(static_cast<double>(i));
+    expectContract(xs);
+}
+
+TEST(HistogramMetric, HeavyTailedLognormalMatchesNearestRank)
+{
+    Rng rng(11);
+    std::vector<double> xs;
+    for (int i = 0; i < 20000; ++i)
+        xs.push_back(std::exp(4.0 + 2.5 * rng.gaussian()));
+    expectContract(xs);
+}
+
+TEST(HistogramMetric, ConstantStreamIsExact)
+{
+    HistogramMetric h;
+    QuantileSketch oracle;
+    for (int i = 0; i < 777; ++i) {
+        h.observe(123.456);
+        oracle.add(123.456);
+    }
+    const HistogramSummary s = h.summary();
+    EXPECT_EQ(s.count, 777u);
+    EXPECT_EQ(s.p50, 123.456);
+    EXPECT_EQ(s.p95, 123.456);
+    EXPECT_EQ(s.p99, 123.456);
+    EXPECT_EQ(s.max, 123.456);
+    // The mean is the stream's sum over its count, rounding included.
+    EXPECT_EQ(s.mean, oracle.mean());
+}
+
+TEST(HistogramMetric, ZerosAreExact)
+{
+    HistogramMetric h;
+    for (int i = 0; i < 50; ++i)
+        h.observe(0.0);
+    const HistogramSummary s = h.summary();
+    EXPECT_EQ(s.count, 50u);
+    EXPECT_EQ(s.mean, 0.0);
+    EXPECT_EQ(s.p50, 0.0);
+    EXPECT_EQ(s.p99, 0.0);
+    EXPECT_EQ(s.max, 0.0);
+}
+
+TEST(HistogramMetric, MixedExtremesMatchNearestRank)
+{
+    // 0.01 and 1e9 are eleven decades apart, both inside the range.
+    std::vector<double> xs;
+    for (int i = 0; i < 1000; ++i)
+        xs.push_back(i % 10 < 9 ? 0.01 : 1e9);
+    expectContract(xs);
+    // And with the rare value at the median.
+    xs.assign(500, 0.01);
+    xs.insert(xs.end(), 501, 1e9);
+    expectContract(xs);
+}
+
+TEST(HistogramMetric, OutOfRangeReportsMinAndMax)
+{
+    // Below 2^-20 and above 2^44 the under/overflow buckets report
+    // the exact extremes.
+    HistogramMetric h;
+    for (int i = 0; i < 10; ++i) {
+        h.observe(1e-9);
+        h.observe(1e15);
+    }
+    h.observe(1e-9);
+    const HistogramSummary s = h.summary();
+    EXPECT_EQ(s.p50, 1e-9);
+    EXPECT_EQ(s.p99, 1e15);
+    EXPECT_EQ(s.max, 1e15);
+}
+
+TEST(HistogramMetric, ConcurrentRecordingLosesNothing)
+{
+    // The TSan leg runs this too: concurrent observe() calls and a
+    // racing summary must be race-free, and the final summary must see
+    // every observation.
+    HistogramMetric h;
+    constexpr int kThreads = 4;
+    constexpr int kPerThread = 2000;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < kPerThread; ++i)
+                h.observe(static_cast<double>(t * kPerThread + i + 1));
+            if (t == 0)
+                (void)h.summary();
+        });
+    for (auto &thread : threads)
+        thread.join();
+    constexpr int kTotal = kThreads * kPerThread;
+    const HistogramSummary s = h.summary();
+    EXPECT_EQ(s.count, static_cast<std::size_t>(kTotal));
+    // 1..kTotal: integer sums are exact in a double, whatever order
+    // the threads added them in.
+    EXPECT_EQ(s.mean, (kTotal + 1) / 2.0);
+    EXPECT_EQ(s.max, static_cast<double>(kTotal));
+    EXPECT_NEAR(s.p50, kTotal / 2.0, 0.01 * kTotal / 2.0);
 }
 
 } // namespace

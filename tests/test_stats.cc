@@ -90,54 +90,6 @@ TEST(QuantileSketch, MonotoneInQ)
     }
 }
 
-TEST(QuantileSketch, MergeMatchesUnion)
-{
-    QuantileSketch a, b, all;
-    for (int i = 0; i < 50; ++i) {
-        a.add(static_cast<double>(i));
-        all.add(static_cast<double>(i));
-    }
-    for (int i = 50; i < 101; ++i) {
-        b.add(static_cast<double>(i));
-        all.add(static_cast<double>(i));
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    for (double q : {0.0, 0.25, 0.5, 0.95, 0.99, 1.0})
-        EXPECT_DOUBLE_EQ(a.quantile(q), all.quantile(q));
-}
-
-TEST(QuantileSketch, MergeEmptySides)
-{
-    QuantileSketch a, empty;
-    a.add(3.0);
-    a.merge(empty);
-    EXPECT_EQ(a.count(), 1u);
-    empty.merge(a);
-    EXPECT_EQ(empty.count(), 1u);
-    EXPECT_DOUBLE_EQ(empty.median(), 3.0);
-}
-
-TEST(QuantileSketch, MergeAfterQuantileQuery)
-{
-    // merge() must invalidate the lazily-sorted state.
-    QuantileSketch a, b;
-    a.add({5.0, 1.0});
-    EXPECT_DOUBLE_EQ(a.median(), 3.0); // forces the sort
-    b.add({0.0, 0.0, 0.0});
-    a.merge(b);
-    EXPECT_DOUBLE_EQ(a.median(), 0.0);
-}
-
-TEST(QuantileSketch, SelfMergeDoublesSamples)
-{
-    QuantileSketch a;
-    a.add({1.0, 2.0, 3.0});
-    a.merge(a);
-    EXPECT_EQ(a.count(), 6u);
-    EXPECT_DOUBLE_EQ(a.median(), 2.0);
-}
-
 TEST(Histogram, CountsAndCdf)
 {
     Histogram h(0.0, 10.0, 10);

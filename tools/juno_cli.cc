@@ -63,15 +63,20 @@
  * owned buffers instead).
  *
  * Exit codes: 0 success, 1 invalid configuration (including malformed
- * flags and missing/truncated/wrong-magic snapshots) or runtime
- * failure, 2 unknown or missing subcommand.
+ * flag values and missing/truncated/wrong-magic snapshots) or runtime
+ * failure, 2 unknown or missing subcommand, or a command line that
+ * subcommand cannot take (a flag it does not read, a stray word, a
+ * flag without its value); those print the subcommand's usage.
  */
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -836,6 +841,127 @@ usage()
         types.c_str());
 }
 
+const char kDataUsage[] =
+    "  data:  --base b.fvecs [--queries q.fvecs] | --synthetic "
+    "deep|sift|tti|uniform\n"
+    "         [--n N] [--dim D] [--queries-n Q] [--seed S]\n";
+const char kSpecUsage[] =
+    "  index: --spec \"type:k=v,...\", or the juno flags [--clusters C]\n"
+    "         [--entries E] [--nprobs P] [--mode h|m|l] [--scale X]\n"
+    "         [--train-points T] [--seed S]\n";
+const char kSearchUsage[] =
+    "  search: [--k K] [--threads T] [--batch B]; knobs [--nprobs P]\n"
+    "         [--mode h|m|l] [--scale X] [--ef E]\n";
+
+/** The usage of one subcommand (what a bad flag of it prints). */
+void
+commandUsage(const std::string &cmd)
+{
+    if (cmd == "build")
+        std::fprintf(stderr,
+                     "usage: juno_cli build --save idx.juno "
+                     "[--metric l2|ip] [index] [data]\n%s%s",
+                     kSpecUsage, kDataUsage);
+    else if (cmd == "search")
+        std::fprintf(stderr,
+                     "usage: juno_cli search --load idx.juno [--mmap 0|1] "
+                     "[search] [data]\n%s%s",
+                     kSearchUsage, kDataUsage);
+    else if (cmd == "eval")
+        std::fprintf(stderr,
+                     "usage: juno_cli eval [--load idx.juno [--mmap 0|1] | "
+                     "--metric l2|ip [index]]\n"
+                     "                     [search] [data]\n%s%s%s",
+                     kSpecUsage, kSearchUsage, kDataUsage);
+    else if (cmd == "parity")
+        std::fprintf(stderr,
+                     "usage: juno_cli parity --load idx.juno [--mmap 0|1] "
+                     "[--k K] [--threads T] [--batch B] [data]\n%s",
+                     kDataUsage);
+    else
+        std::fprintf(
+            stderr,
+            "usage: juno_cli serve [--load idx.juno [--mmap 0|1] | "
+            "--metric l2|ip [index]] [data]\n"
+            "         [--smoke] [--k K] [--clients C] [--window W] "
+            "[--requests R]\n"
+            "         [--batch-max B] [--linger-us U] [--queue-cap Q] "
+            "[--threads T]\n"
+            "         [--deadline-ms D] [--degrade 0|1] "
+            "[--mem-budget BYTES[k|m|g]]\n"
+            "         [--stats-every S] [--metrics-out m.prom] "
+            "[--trace-out t.json]\n"
+            "         [--trace-sample R] [--trace-slow-us N]\n"
+            "         [--live 0|1] [--insert-rate R] [--delete-rate R] "
+            "[--fresh-cap N]\n"
+            "         [--merge-threshold N]\n%s%s",
+            kSpecUsage, kDataUsage);
+}
+
+/**
+ * Parses the command line of @p cmd against the flags that subcommand
+ * reads, so a misspelled flag is refused instead of silently ignored.
+ * The lists follow the helpers each command calls: loadData (data),
+ * specFrom (index), loadPath/snapshotOptionsFrom, optionsFrom and
+ * applyKnobs (search).
+ */
+Args
+commandArgs(const std::string &cmd, int argc, char **argv)
+{
+    if (cmd == "build")
+        return Args(argc, argv, 2, {},
+                    {"save", "out", "metric",
+                     // data
+                     "base", "queries", "synthetic", "n", "queries-n",
+                     "dim", "seed",
+                     // index
+                     "spec", "clusters", "entries", "nprobs", "mode",
+                     "scale", "train-points"});
+    if (cmd == "search")
+        return Args(argc, argv, 2, {},
+                    {"load", "index", "mmap",
+                     // data
+                     "base", "queries", "synthetic", "n", "queries-n",
+                     "dim", "seed",
+                     // search
+                     "k", "threads", "batch", "nprobs", "mode", "scale",
+                     "ef"});
+    if (cmd == "eval")
+        return Args(argc, argv, 2, {},
+                    {"load", "index", "mmap", "metric",
+                     // data
+                     "base", "queries", "synthetic", "n", "queries-n",
+                     "dim", "seed",
+                     // index
+                     "spec", "clusters", "entries", "nprobs", "mode",
+                     "scale", "train-points",
+                     // search
+                     "k", "threads", "batch", "ef"});
+    if (cmd == "parity")
+        return Args(argc, argv, 2, {},
+                    {"load", "index", "mmap",
+                     // data
+                     "base", "queries", "synthetic", "n", "queries-n",
+                     "dim", "seed",
+                     // search
+                     "k", "threads", "batch"});
+    return Args(argc, argv, 2, {"smoke"},
+                {"smoke", "load", "index", "mmap", "metric",
+                 // data
+                 "base", "queries", "synthetic", "n", "queries-n", "dim",
+                 "seed",
+                 // index
+                 "spec", "clusters", "entries", "nprobs", "mode", "scale",
+                 "train-points",
+                 // service and load
+                 "k", "clients", "window", "requests", "batch-max",
+                 "linger-us", "queue-cap", "threads", "deadline-ms",
+                 "degrade", "mem-budget", "stats-every", "trace-sample",
+                 "trace-slow-us", "metrics-out", "trace-out", "live",
+                 "insert-rate", "delete-rate", "fresh-cap",
+                 "merge-threshold"});
+}
+
 } // namespace
 
 int
@@ -845,23 +971,34 @@ main(int argc, char **argv)
         usage();
         return 2;
     }
-    try {
-        const Args args(argc, argv, 2);
-        const std::string cmd = argv[1];
-        if (cmd == "build")
-            return cmdBuild(args);
-        if (cmd == "search")
-            return cmdSearch(args);
-        if (cmd == "eval")
-            return cmdEval(args);
-        if (cmd == "serve")
-            return cmdServe(args);
-        if (cmd == "parity")
-            return cmdParity(args);
+    const std::string cmd = argv[1];
+    const struct {
+        const char *name;
+        int (*run)(const Args &);
+    } commands[] = {{"build", cmdBuild},
+                    {"search", cmdSearch},
+                    {"eval", cmdEval},
+                    {"serve", cmdServe},
+                    {"parity", cmdParity}};
+    const auto *command =
+        std::find_if(std::begin(commands), std::end(commands),
+                     [&](const auto &c) { return cmd == c.name; });
+    if (command == std::end(commands)) {
         std::fprintf(stderr, "juno_cli: unknown subcommand '%s'\n",
                      cmd.c_str());
         usage();
         return 2;
+    }
+    std::optional<Args> args;
+    try {
+        args.emplace(commandArgs(cmd, argc, argv));
+    } catch (const ConfigError &err) {
+        std::fprintf(stderr, "juno_cli %s: %s\n", cmd.c_str(), err.what());
+        commandUsage(cmd);
+        return 2;
+    }
+    try {
+        return command->run(*args);
     } catch (const ConfigError &err) {
         std::fprintf(stderr, "juno_cli: %s\n", err.what());
         return 1;
