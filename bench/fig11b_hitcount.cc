@@ -41,6 +41,8 @@ main()
     params.nprobs = 16;
     params.max_training_points = 10000;
     params.policy.ref_samples = 4000;
+    // Hit counts in the paper's sense: spheres the rays hit.
+    params.lut = LutBackend::kBvh;
     JunoIndex index(workload.metric(), workload.base(), params);
     // Stages B and C run on bench-owned components over the index's
     // trained state: the bench needs the LUT and the per-point scores,

@@ -31,6 +31,8 @@ main()
     jp.pq_entries = 128;
     jp.max_training_points = 10000;
     jp.policy.ref_samples = 4000;
+    // rt_hits_per_query counts any-hit shader calls: trace real rays.
+    jp.lut = LutBackend::kBvh;
     JunoIndex index(workload.metric(), workload.base(), jp);
 
     TablePrinter table({"strategy", "nprobs", "R1@100", "QPS",

@@ -18,7 +18,9 @@
 #include <vector>
 
 #include "common/build_info.h"
+#include "common/logging.h"
 #include "common/matrix.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/timer.h"
@@ -340,6 +342,35 @@ benchFastScan(const simd::Kernels &scalar, const simd::Kernels &best)
     g_fastscan_vs_float = v / flt;
 }
 
+/**
+ * The selective-LUT gate (JUNO's CPU-native LUT stage) over one
+ * subspace of E=256 entries, L2, inner plane off: the kernel peak the
+ * LUT stage's time per gate cell is set against (one op = one cell).
+ */
+void
+benchLutGate(const simd::Kernels &scalar, const simd::Kernels &best)
+{
+    Rng rng(8);
+    const std::size_t entries = 256;
+    const auto ex = randomVec(rng, entries);
+    const auto ey = randomVec(rng, entries);
+    std::vector<float> delta(entries), flag(entries);
+    simd::LutGate gate;
+    gate.x = 0.1f;
+    gate.y = -0.2f;
+    gate.limit = 0.8f; // about half the entries selected
+    gate.miss = 0.8f;
+    const double s = opsPerSecond(entries, [&] {
+        scalar.lut_gate(gate, ex.data(), ey.data(), entries, delta.data(),
+                        flag.data(), nullptr);
+    });
+    const double v = opsPerSecond(entries, [&] {
+        best.lut_gate(gate, ex.data(), ey.data(), entries, delta.data(),
+                      flag.data(), nullptr);
+    });
+    printRow("lutGate", "E=256,L2", s, v, "Gop/s");
+}
+
 void
 benchCompact(const simd::Kernels &scalar, const simd::Kernels &best)
 {
@@ -428,14 +459,21 @@ main(int argc, char **argv)
     // snapshot). --check-fastscan: exit nonzero unless the dispatched
     // 4-bit fast-scan beats the dispatched interleaved float scan on
     // the same lists (CI gate).
+    // An unknown or malformed flag prints the usage and exits 2, so a
+    // mistyped gate flag cannot pass without checking anything.
     std::string json_path;
     bool check_fastscan = false;
-    for (int a = 1; a < argc; ++a) {
-        const std::string arg = argv[a];
-        if (arg == "--json" && a + 1 < argc)
-            json_path = argv[++a];
-        else if (arg == "--check-fastscan")
-            check_fastscan = true;
+    try {
+        const Args args(argc, argv, 1, {"check-fastscan"},
+                        {"check-fastscan", "json"});
+        json_path = args.get("json", "");
+        check_fastscan = args.has("check-fastscan");
+    } catch (const ConfigError &err) {
+        std::fprintf(stderr,
+                     "bench_micro_kernels: %s\nusage: bench_micro_kernels "
+                     "[--check-fastscan] [--json path]\n",
+                     err.what());
+        return 2;
     }
 
     const auto &scalar = simd::table(simd::Level::kScalar);
@@ -451,6 +489,7 @@ main(int argc, char **argv)
     benchGemm(scalar, best);
     benchAdcScan(scalar, best);
     benchFastScan(scalar, best);
+    benchLutGate(scalar, best);
     benchCompact(scalar, best);
     std::printf("\n");
     benchTopKAndBvh();

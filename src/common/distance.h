@@ -49,8 +49,7 @@ std::vector<float> rowNormsSqr(FloatMatrixView points);
 
 /**
  * Tiled GEMM C = A * B with A (M x K) row-major, B (K x N) row-major.
- * Stands in for the cuBLAS/Tensor-core path of the paper; used by the
- * pipelined accumulator where B is the all-ones column.
+ * Stands in for the cuBLAS/Tensor-core path of the paper.
  */
 void gemm(FloatMatrixView a, FloatMatrixView b, FloatMatrix &c);
 

@@ -174,6 +174,58 @@ compactCandidatesScalar(const float *acc, const std::int32_t *hits,
     }
 }
 
+/**
+ * One gate cell; the scalar table and the SIMD tails share it, and
+ * the SIMD bodies perform the same operations lane-wise.
+ */
+template <bool kIp>
+inline bool
+gateCell(const LutGate &g, float ex, float ey, float &delta, float &flag,
+         float *inner)
+{
+    float score;
+    if (kIp) {
+        score = g.x * ex + g.y * ey;
+    } else {
+        const float dx = g.x - ex;
+        const float dy = g.y - ey;
+        score = dx * dx + dy * dy;
+    }
+    const bool in = kIp ? score >= g.limit : score <= g.limit;
+    delta = in ? score - g.miss : 0.0f;
+    flag = in ? 1.0f : 0.0f;
+    if (inner != nullptr) {
+        const bool in_inner =
+            kIp ? score >= g.inner_limit : score <= g.inner_limit;
+        *inner = in && in_inner ? 1.0f : 0.0f;
+    }
+    return in;
+}
+
+template <bool kIp>
+std::size_t
+lutGateTail(const LutGate &g, const float *ex, const float *ey,
+            std::size_t begin, std::size_t n, float *delta, float *flag,
+            float *inner)
+{
+    std::size_t selected = 0;
+    for (std::size_t e = begin; e < n; ++e)
+        selected += gateCell<kIp>(g, ex[e], ey[e], delta[e], flag[e],
+                                  inner != nullptr ? inner + e : nullptr)
+                        ? 1
+                        : 0;
+    return selected;
+}
+
+std::size_t
+lutGateScalar(const LutGate &g, const float *ex, const float *ey,
+              std::size_t n, float *delta, float *flag, float *inner)
+{
+    return g.inner_product
+               ? lutGateTail<true>(g, ex, ey, 0, n, delta, flag, inner)
+               : lutGateTail<false>(g, ex, ey, 0, n, delta, flag, inner);
+}
+
 const Kernels kScalarTable = {
     "scalar",
     &l2SqrScalar,
@@ -185,6 +237,7 @@ const Kernels kScalarTable = {
     &adcScanInterleavedScalar,
     &fastScanPq4Scalar,
     &compactCandidatesScalar,
+    &lutGateScalar,
 };
 
 #if JUNO_SIMD_X86
@@ -662,6 +715,59 @@ compactCandidatesAvx2(const float *acc, const std::int32_t *hits,
     }
 }
 
+/** Eight gate cells per step: the lane-wise gateCell(). */
+template <bool kIp>
+JUNO_TARGET_AVX2 std::size_t
+lutGateAvx2Impl(const LutGate &g, const float *ex, const float *ey,
+                std::size_t n, float *delta, float *flag, float *inner)
+{
+    const __m256 x = _mm256_set1_ps(g.x);
+    const __m256 y = _mm256_set1_ps(g.y);
+    const __m256 limit = _mm256_set1_ps(g.limit);
+    const __m256 inner_limit = _mm256_set1_ps(g.inner_limit);
+    const __m256 miss = _mm256_set1_ps(g.miss);
+    const __m256 one = _mm256_set1_ps(1.0f);
+    constexpr int kCmp = kIp ? _CMP_GE_OQ : _CMP_LE_OQ;
+    std::size_t selected = 0;
+    std::size_t e = 0;
+    for (; e + 8 <= n; e += 8) {
+        const __m256 vx = _mm256_loadu_ps(ex + e);
+        const __m256 vy = _mm256_loadu_ps(ey + e);
+        __m256 score;
+        if (kIp) {
+            score = _mm256_add_ps(_mm256_mul_ps(x, vx),
+                                  _mm256_mul_ps(y, vy));
+        } else {
+            const __m256 dx = _mm256_sub_ps(x, vx);
+            const __m256 dy = _mm256_sub_ps(y, vy);
+            score = _mm256_add_ps(_mm256_mul_ps(dx, dx),
+                                  _mm256_mul_ps(dy, dy));
+        }
+        const __m256 in = _mm256_cmp_ps(score, limit, kCmp);
+        _mm256_storeu_ps(delta + e,
+                         _mm256_and_ps(in, _mm256_sub_ps(score, miss)));
+        _mm256_storeu_ps(flag + e, _mm256_and_ps(in, one));
+        if (inner != nullptr) {
+            const __m256 in_inner = _mm256_and_ps(
+                in, _mm256_cmp_ps(score, inner_limit, kCmp));
+            _mm256_storeu_ps(inner + e, _mm256_and_ps(in_inner, one));
+        }
+        selected += static_cast<std::size_t>(
+            __builtin_popcount(static_cast<unsigned>(
+                _mm256_movemask_ps(in))));
+    }
+    return selected + lutGateTail<kIp>(g, ex, ey, e, n, delta, flag, inner);
+}
+
+JUNO_TARGET_AVX2 std::size_t
+lutGateAvx2(const LutGate &g, const float *ex, const float *ey,
+            std::size_t n, float *delta, float *flag, float *inner)
+{
+    return g.inner_product
+               ? lutGateAvx2Impl<true>(g, ex, ey, n, delta, flag, inner)
+               : lutGateAvx2Impl<false>(g, ex, ey, n, delta, flag, inner);
+}
+
 const Kernels kAvx2Table = {
     "avx2",
     &l2SqrAvx2,
@@ -673,6 +779,7 @@ const Kernels kAvx2Table = {
     &adcScanInterleavedAvx2,
     &fastScanPq4Avx2,
     &compactCandidatesAvx2,
+    &lutGateAvx2,
 };
 
 /**
@@ -787,7 +894,64 @@ fastScanPq4Avx512(const std::uint8_t *packed, int subspaces,
                         n - i, qsums + i);
 }
 
-/** AVX2 table with the wider ADC scan kernels swapped in. */
+/** Sixteen gate cells per step, masks in k-registers. */
+template <bool kIp>
+JUNO_TARGET_AVX512 std::size_t
+lutGateAvx512Impl(const LutGate &g, const float *ex, const float *ey,
+                  std::size_t n, float *delta, float *flag, float *inner)
+{
+    const __m512 x = _mm512_set1_ps(g.x);
+    const __m512 y = _mm512_set1_ps(g.y);
+    const __m512 limit = _mm512_set1_ps(g.limit);
+    const __m512 inner_limit = _mm512_set1_ps(g.inner_limit);
+    const __m512 miss = _mm512_set1_ps(g.miss);
+    const __m512 one = _mm512_set1_ps(1.0f);
+    constexpr int kCmp = kIp ? _CMP_GE_OQ : _CMP_LE_OQ;
+    std::size_t selected = 0;
+    std::size_t e = 0;
+    for (; e + 16 <= n; e += 16) {
+        const __m512 vx = _mm512_loadu_ps(ex + e);
+        const __m512 vy = _mm512_loadu_ps(ey + e);
+        __m512 score;
+        if (kIp) {
+            score = _mm512_add_ps(_mm512_mul_ps(x, vx),
+                                  _mm512_mul_ps(y, vy));
+        } else {
+            const __m512 dx = _mm512_sub_ps(x, vx);
+            const __m512 dy = _mm512_sub_ps(y, vy);
+            score = _mm512_add_ps(_mm512_mul_ps(dx, dx),
+                                  _mm512_mul_ps(dy, dy));
+        }
+        const __mmask16 in = _mm512_cmp_ps_mask(score, limit, kCmp);
+        _mm512_storeu_ps(delta + e,
+                         _mm512_maskz_sub_ps(in, score, miss));
+        _mm512_storeu_ps(flag + e, _mm512_maskz_mov_ps(in, one));
+        if (inner != nullptr) {
+            const __mmask16 in_inner =
+                _mm512_mask_cmp_ps_mask(in, score, inner_limit, kCmp);
+            _mm512_storeu_ps(inner + e,
+                             _mm512_maskz_mov_ps(in_inner, one));
+        }
+        selected += static_cast<std::size_t>(
+            __builtin_popcount(static_cast<unsigned>(in)));
+    }
+    return selected +
+           lutGateAvx2Impl<kIp>(g, ex + e, ey + e, n - e, delta + e,
+                                flag + e,
+                                inner != nullptr ? inner + e : nullptr);
+}
+
+JUNO_TARGET_AVX512 std::size_t
+lutGateAvx512(const LutGate &g, const float *ex, const float *ey,
+              std::size_t n, float *delta, float *flag, float *inner)
+{
+    return g.inner_product
+               ? lutGateAvx512Impl<true>(g, ex, ey, n, delta, flag, inner)
+               : lutGateAvx512Impl<false>(g, ex, ey, n, delta, flag,
+                                          inner);
+}
+
+/** AVX2 table with the wider ADC scan and gate kernels swapped in. */
 const Kernels kAvx512Table = {
     "avx512",
     &l2SqrAvx2,
@@ -799,6 +963,7 @@ const Kernels kAvx512Table = {
     &adcScanInterleavedAvx512,
     &fastScanPq4Avx512,
     &compactCandidatesAvx2,
+    &lutGateAvx512,
 };
 #endif // JUNO_SIMD_X86
 

@@ -22,6 +22,7 @@
  *    accumulation order over subspaces is the same in every path.
  *  - Candidate compaction emits the same candidates in the same
  *    (ascending ordinal) order in every path.
+ *  - The selective-LUT gate writes identical cells in every table.
  *
  * Override for testing: set `JUNO_SIMD=scalar`, `JUNO_SIMD=avx2` or
  * `JUNO_SIMD=avx512` in the environment before first use, or call
@@ -45,6 +46,25 @@ enum class Level {
     kScalar = 0, ///< portable reference, bit-exact contract
     kAvx2 = 1,   ///< AVX2 + FMA (x86-64)
     kAvx512 = 2, ///< AVX-512 F/BW/VL: AVX2 table + 16-wide ADC scans
+};
+
+/**
+ * One (probe, subspace) gate of JUNO's selective LUT, in original
+ * units (core/selective_lut.h, CPU-native backend). Entry (ex, ey) is
+ * selected when its score against the projection (x, y) passes
+ * @p limit: under L2 the score is (x - ex)^2 + (y - ey)^2 and must be
+ * <= limit; under inner product it is x * ex + y * ey and must be
+ * >= limit. A NaN score is never selected.
+ */
+struct LutGate {
+    float x = 0.0f;
+    float y = 0.0f;
+    bool inner_product = false;
+    float limit = 0.0f;
+    /** Bound of the half gate (JUNO-M reward sphere), same direction. */
+    float inner_limit = 0.0f;
+    /** Subtracted from every selected score (cells hold score - miss). */
+    float miss = 0.0f;
 };
 
 /**
@@ -123,6 +143,19 @@ struct Kernels {
     void (*compact_candidates)(const float *acc, const std::int32_t *hits,
                                const idx_t *list, std::size_t n,
                                float offset, std::vector<Neighbor> &out);
+
+    /**
+     * Selective-LUT gate over the n entries of one subspace, stored
+     * as coordinate planes ex/ey: writes delta[e] = score - miss and
+     * flag[e] = 1 for selected entries, 0 and 0 for the rest, and —
+     * when @p inner is non-null — inner[e] = 1 for selected entries
+     * that also pass inner_limit, else 0. Returns the number
+     * selected. Elementwise IEEE operations in a fixed order (no
+     * FMA), so every table writes identical bits.
+     */
+    std::size_t (*lut_gate)(const LutGate &gate, const float *ex,
+                            const float *ey, std::size_t n, float *delta,
+                            float *flag, float *inner);
 };
 
 /** True when this host can execute the @p level table natively. */
@@ -234,6 +267,13 @@ compactCandidates(const float *acc, const std::int32_t *hits,
                   std::vector<Neighbor> &out)
 {
     active().compact_candidates(acc, hits, list, n, offset, out);
+}
+
+inline std::size_t
+lutGate(const LutGate &gate, const float *ex, const float *ey,
+        std::size_t n, float *delta, float *flag, float *inner)
+{
+    return active().lut_gate(gate, ex, ey, n, delta, flag, inner);
 }
 
 } // namespace simd

@@ -3,9 +3,7 @@
  * Minimal fixed-size thread pool with a parallel-for helper.
  *
  * On single-core hosts the pool degrades gracefully (size 1 executes
- * inline), but the pipelined executor (core/pipeline.h) still relies on
- * real threads to overlap the RT-LUT and accumulation stages the way
- * the paper overlaps RT and Tensor cores.
+ * inline).
  */
 #ifndef JUNO_COMMON_THREAD_POOL_H
 #define JUNO_COMMON_THREAD_POOL_H

@@ -25,8 +25,6 @@ stageName(Stage stage)
         return "graph";
     case Stage::kRtExact:
         return "rt_exact";
-    case Stage::kPipelineWall:
-        return "pipeline_wall";
     case Stage::kCount:
         break;
     }

@@ -45,19 +45,17 @@ class Timer {
 
 /**
  * The interned pipeline stages. The FAISS-style pipeline reports
- * kFilter / kLut / kScan; JUNO reports kFilter / kRtLut / kScan;
- * kPipelineWall is the overlapped wall time of JUNO's software
- * pipeline. Adding a stage means adding an enumerator before kCount
- * and a name in stageName().
+ * kFilter / kLut / kScan; JUNO reports kFilter / kRtLut / kScan.
+ * Adding a stage means adding an enumerator before kCount and a name
+ * in stageName().
  */
 enum class Stage : std::uint8_t {
     kFilter = 0,   ///< stage A: cluster filtering (centroid scoring)
     kLut,          ///< stage B: per-query PQ lookup-table build
-    kRtLut,        ///< stage B: RT-core LUT analogue (JUNO)
+    kRtLut,        ///< stage B: JUNO's selective LUT (any backend)
     kScan,         ///< stage C: list scan / distance accumulation
     kGraph,        ///< HNSW graph traversal
     kRtExact,      ///< RT-exact device-side search
-    kPipelineWall, ///< overlapped wall time of the pipelined path
     kCount,        ///< number of stages (array size; not a stage)
 };
 

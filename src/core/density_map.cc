@@ -46,9 +46,13 @@ SubspaceDensity::build(FloatMatrixView points_xy, int grid)
 int
 SubspaceDensity::cellIndex(float v, float lo, float hi) const
 {
-    const double t = (static_cast<double>(v) - lo) / (hi - lo);
-    int c = static_cast<int>(t * grid_);
-    return std::clamp(c, 0, grid_ - 1);
+    // Clamp in double before the cast: a far-out coordinate (1e30)
+    // would overflow int, and NaN fails every comparison, so it lands
+    // in cell 0 with the negatives.
+    const double t = (static_cast<double>(v) - lo) / (hi - lo) * grid_;
+    if (!(t >= 0.0))
+        return 0;
+    return static_cast<int>(std::min(t, static_cast<double>(grid_ - 1)));
 }
 
 idx_t

@@ -34,18 +34,13 @@ DistanceCalculator::DistanceCalculator(const InvertedFileIndex &ivf,
     acc_.assign(scratch, 0.0f);
     hit_count_.assign(scratch, 0);
     flag_acc_.assign(scratch, 0.0f);
-    const std::size_t lut_sz =
-        static_cast<std::size_t>(interest.numSubspaces()) *
-        static_cast<std::size_t>(interest.entries());
-    delta_lut_.assign(lut_sz, 0.0f);
-    flag_lut_.assign(lut_sz, 0.0f);
 }
 
 void
 DistanceCalculator::accumulateCluster(Metric metric, SearchMode mode,
                                       const std::vector<Neighbor> &probes,
                                       std::size_t probe_ordinal,
-                                      const SparseLut &lut,
+                                      const GateLut &lut,
                                       std::vector<Neighbor> &out)
 {
     const cluster_t c =
@@ -54,77 +49,48 @@ DistanceCalculator::accumulateCluster(Metric metric, SearchMode mode,
     if (list.empty())
         return;
     const int subspaces = interest_.numSubspaces();
-    const auto &hits = lut.forProbe(probe_ordinal);
-    const std::size_t n = list.size();
-
-    const bool exact = mode == SearchMode::kExactDistance;
-    const auto deltaOf = [&](const LutHit &lh, float miss) {
-        if (exact) {
-            // Store value - miss so the final score is simply
-            // acc + sum_of_misses, regardless of which subspaces
-            // hit (misses vary per subspace).
-            return lh.value - miss;
-        }
-        if (mode == SearchMode::kHitCount)
-            return 1.0f;
-        // Reward/penalty: +1 inner, 0 outer-only, -1 miss,
-        // encoded as acc += (inner ? 2 : 1), final -= S.
-        return lh.inner ? 2.0f : 1.0f;
-    };
-
-    // Dense regime detection: when most entries were selected, the
-    // sparse interest-index walk degenerates into scattered writes
-    // over nearly every (point, subspace) pair; expanding the hits
-    // into a dense delta LUT and streaming the cluster's interleaved
-    // codes does the same adds sequentially and SIMD-wide.
-    std::size_t selected = 0;
-    for (int s = 0; s < subspaces; ++s)
-        selected += hits[static_cast<std::size_t>(s)].size();
     const int entries = interest_.entries();
-    const bool dense =
-        static_cast<double>(selected) >=
-            dense_threshold_ * static_cast<double>(subspaces) *
-                static_cast<double>(entries);
+    JUNO_REQUIRE(lut.subspaces == subspaces && lut.entries == entries,
+                 "gate LUT shape does not match the index");
+    const std::size_t n = list.size();
+    const float *delta = lut.deltaFor(probe_ordinal);
+    const float *flag = lut.flagFor(probe_ordinal);
+    // Without the inner plane every selected entry is outer-only.
+    const float *inner = lut.innerFor(probe_ordinal);
 
+    // Dense regime: when most entries were selected, the sparse
+    // interest-index walk degenerates into scattered writes over
+    // nearly every (point, subspace) pair; streaming the cluster's
+    // interleaved codes against the gate LUT does the same adds
+    // sequentially and SIMD-wide.
+    const bool dense =
+        static_cast<double>(lut.selectedFor(probe_ordinal)) >=
+        dense_threshold_ * static_cast<double>(lut.cells());
+
+    const float *acc = acc_.data();
     if (dense) {
-        // Expand the sparse hits into delta/flag LUTs, then stream the
-        // list-resident interleaved codes once per LUT. Per point this
-        // performs one add per subspace in subspace order — bitwise
-        // identical to the sparse walk (unselected entries contribute
-        // an exact 0.0f, which cannot change any partial sum).
-        // In hit-count mode every delta is 1.0f, so the delta scan IS
-        // the flag scan; skip the second pass.
-        const bool counts_equal_acc = mode == SearchMode::kHitCount;
-        const auto stride = static_cast<std::size_t>(entries);
-        std::fill_n(delta_lut_.begin(),
-                    static_cast<std::size_t>(subspaces) * stride, 0.0f);
-        if (!counts_equal_acc)
-            std::fill_n(flag_lut_.begin(),
-                        static_cast<std::size_t>(subspaces) * stride,
-                        0.0f);
-        for (int s = 0; s < subspaces; ++s) {
-            const float miss = lut.missFor(probe_ordinal, s);
-            for (const LutHit &lh : hits[static_cast<std::size_t>(s)]) {
-                const std::size_t cell =
-                    static_cast<std::size_t>(s) * stride + lh.entry;
-                delta_lut_[cell] = deltaOf(lh, miss);
-                if (!counts_equal_acc)
-                    flag_lut_[cell] = 1.0f;
-            }
-        }
+        // Per point one add per subspace in subspace order — bitwise
+        // identical to the sparse walk (unselected cells hold an exact
+        // 0.0f, which cannot change any partial sum). Hit counts come
+        // from the flag plane; JUNO-M's score is counts + inner counts
+        // (small integers, exact in float).
         const entry_t *blocks = interleaved_.listBlocks(c);
-        simd::adcScanInterleaved(delta_lut_.data(),
-                                 static_cast<idx_t>(entries), subspaces,
-                                 blocks, n, 0.0f, acc_.data());
-        if (!counts_equal_acc)
-            simd::adcScanInterleaved(flag_lut_.data(),
-                                     static_cast<idx_t>(entries),
-                                     subspaces, blocks, n, 0.0f,
-                                     flag_acc_.data());
-        const float *counts =
-            counts_equal_acc ? acc_.data() : flag_acc_.data();
+        const auto scan = [&](const float *plane, float *dst) {
+            simd::adcScanInterleaved(plane, static_cast<idx_t>(entries),
+                                     subspaces, blocks, n, 0.0f, dst);
+        };
+        scan(flag, flag_acc_.data());
+        if (mode == SearchMode::kExactDistance) {
+            scan(delta, acc_.data());
+        } else if (mode == SearchMode::kRewardPenalty && inner != nullptr) {
+            scan(inner, acc_.data());
+            for (std::size_t i = 0; i < n; ++i)
+                acc_[i] += flag_acc_[i];
+        } else {
+            acc = flag_acc_.data();
+        }
         for (std::size_t i = 0; i < n; ++i)
-            hit_count_[i] = static_cast<std::int32_t>(counts[i]);
+            hit_count_[i] = static_cast<std::int32_t>(flag_acc_[i]);
     } else {
         // Reset the per-ordinal scratch for this cluster; the dense
         // clear keeps the inner accumulation loop down to two
@@ -138,15 +104,25 @@ DistanceCalculator::accumulateCluster(Metric metric, SearchMode mode,
         // index to retrieve the search points whose entry is
         // matched").
         for (int s = 0; s < subspaces; ++s) {
-            const float miss = lut.missFor(probe_ordinal, s);
-            for (const LutHit &lh : hits[static_cast<std::size_t>(s)]) {
-                const auto range = interest_.lookup(c, s, lh.entry);
-                const float delta = deltaOf(lh, miss);
+            for (int e = 0; e < entries; ++e) {
+                const std::size_t cell = lut.cell(s, static_cast<entry_t>(e));
+                if (flag[cell] == 0.0f)
+                    continue;
+                float d = 1.0f; // JUNO-L
+                if (mode == SearchMode::kExactDistance)
+                    d = delta[cell];
+                else if (mode == SearchMode::kRewardPenalty)
+                    // +1 inner, 0 outer-only, -1 miss, encoded as
+                    // acc += (inner ? 2 : 1), final -= S.
+                    d = inner != nullptr && inner[cell] != 0.0f ? 2.0f
+                                                                : 1.0f;
+                const auto range =
+                    interest_.lookup(c, s, static_cast<entry_t>(e));
                 for (const std::uint32_t *it = range.begin;
                      it != range.end; ++it) {
                     const std::uint32_t ord = *it;
                     ++hit_count_[ord];
-                    acc_[ord] += delta;
+                    acc_[ord] += d;
                 }
             }
         }
@@ -155,7 +131,7 @@ DistanceCalculator::accumulateCluster(Metric metric, SearchMode mode,
     // Finalise. Points never touched keep the paper's "large constant"
     // semantics by simply not becoming candidates.
     float offset = 0.0f;
-    if (exact) {
+    if (mode == SearchMode::kExactDistance) {
         offset = lut.base[probe_ordinal];
         for (int s = 0; s < subspaces; ++s)
             offset += lut.missFor(probe_ordinal, s);
@@ -166,15 +142,15 @@ DistanceCalculator::accumulateCluster(Metric metric, SearchMode mode,
     // Candidate compaction through the dispatch table: the AVX2 path
     // skips untouched ordinals eight at a time, which dominates under
     // the selective LUT's sparse hit pattern.
-    simd::compactCandidates(acc_.data(), hit_count_.data(), list.data(), n,
-                            offset, out);
+    simd::compactCandidates(acc, hit_count_.data(), list.data(), n, offset,
+                            out);
     (void)metric;
 }
 
 std::vector<Neighbor>
 DistanceCalculator::run(Metric metric, SearchMode mode,
                         const std::vector<Neighbor> &probes,
-                        const SparseLut &lut, idx_t k)
+                        const GateLut &lut, idx_t k)
 {
     JUNO_REQUIRE(k > 0, "k must be positive");
     std::vector<Neighbor> candidates;
@@ -195,7 +171,7 @@ std::vector<Neighbor>
 DistanceCalculator::scoreCluster(Metric metric, SearchMode mode,
                                  const std::vector<Neighbor> &probes,
                                  std::size_t probe_ordinal,
-                                 const SparseLut &lut)
+                                 const GateLut &lut)
 {
     JUNO_REQUIRE(probe_ordinal < probes.size(), "probe ordinal range");
     std::vector<Neighbor> out;

@@ -1,19 +1,19 @@
 /**
  * @file
- * Distance-calculation stage over the sparse LUT (paper Sec. 5.3-5.4).
+ * Distance-calculation stage over the gate LUT (paper Sec. 5.3-5.4).
  *
- * Given the entries the RT pass selected, the calculator walks the
- * subspace-level inverted index and accumulates scores only for the
- * *interested* points. Three scoring modes implement the paper's
- * quality presets:
+ * Given the entries the selective-LUT stage selected, the calculator
+ * accumulates scores for the points of each probed cluster. Three
+ * scoring modes implement the paper's quality presets:
  *
- *  - kExactDistance (JUNO-H): accumulate the recovered per-subspace
- *    scores; subspaces where a point's entry was not selected are
- *    charged the gate-boundary miss score.
- *  - kHitCount (JUNO-L): score = number of subspaces whose entry
- *    sphere was hit; no floating-point distance at all.
- *  - kRewardPenalty (JUNO-M): +1 if the inner (half) sphere was hit,
- *    0 if only the outer, -1 if neither (Fig. 11(b) blue triangles).
+ *  - kExactDistance (JUNO-H): accumulate the per-subspace scores;
+ *    subspaces where a point's entry was not selected are charged the
+ *    gate-boundary miss score.
+ *  - kHitCount (JUNO-L): score = number of subspaces whose entry was
+ *    selected; no floating-point distance at all.
+ *  - kRewardPenalty (JUNO-M): +1 if the inner (half) gate also
+ *    passed, 0 if only the outer, -1 if neither (Fig. 11(b) blue
+ *    triangles).
  */
 #ifndef JUNO_CORE_DISTANCE_CALC_H
 #define JUNO_CORE_DISTANCE_CALC_H
@@ -37,19 +37,19 @@ enum class SearchMode {
 /** Short preset name ("JUNO-H" etc.) for reports. */
 const char *searchModeName(SearchMode mode);
 
-/** Accumulates sparse-LUT scores into a top-k per query. */
+/** Accumulates gate-LUT scores into a top-k per query. */
 class DistanceCalculator {
   public:
     /**
      * @p ivf, @p interest and @p interleaved (the list-resident
      * layout of the same codes) must outlive the calculator. Clusters
-     * whose selected-entry fraction exceeds the dense threshold are
-     * scored by streaming the interleaved codes against a dense delta
-     * LUT expanded from the sparse hits, instead of walking the
-     * interest-index ranges point by scattered point. Both paths
-     * produce bitwise-identical accumulators (one add per selected
-     * subspace, in subspace order; untouched subspaces add an exact
-     * 0.0f in the dense path).
+     * whose selected-entry fraction reaches the dense threshold are
+     * scored by streaming the interleaved codes against the gate
+     * LUT's planes; the rest walk the interest-index ranges of the
+     * flagged entries point by scattered point. Both paths produce
+     * bitwise-identical accumulators (one add per selected subspace,
+     * in subspace order; unselected cells add an exact 0.0f in the
+     * dense path).
      */
     DistanceCalculator(const InvertedFileIndex &ivf,
                        const InterestIndex &interest,
@@ -76,7 +76,7 @@ class DistanceCalculator {
      */
     std::vector<Neighbor> run(Metric metric, SearchMode mode,
                               const std::vector<Neighbor> &probes,
-                              const SparseLut &lut, idx_t k);
+                              const GateLut &lut, idx_t k);
 
     /**
      * Per-point scores of one cluster (for the Fig. 11(b) correlation
@@ -86,13 +86,13 @@ class DistanceCalculator {
     std::vector<Neighbor> scoreCluster(Metric metric, SearchMode mode,
                                        const std::vector<Neighbor> &probes,
                                        std::size_t probe_ordinal,
-                                       const SparseLut &lut);
+                                       const GateLut &lut);
 
   private:
     /** Accumulates one cluster into scratch; appends to @p out. */
     void accumulateCluster(Metric metric, SearchMode mode,
                            const std::vector<Neighbor> &probes,
-                           std::size_t probe_ordinal, const SparseLut &lut,
+                           std::size_t probe_ordinal, const GateLut &lut,
                            std::vector<Neighbor> &out);
 
     const InvertedFileIndex &ivf_;
@@ -103,11 +103,8 @@ class DistanceCalculator {
     // Scratch sized to the largest cluster; densely reset per cluster.
     std::vector<float> acc_;
     std::vector<std::int32_t> hit_count_;
-    // Dense-path scratch: delta/flag LUTs (subspaces x entries) and a
-    // float hit-count buffer (the interleaved kernel accumulates
-    // floats; counts of 0/1 flags are exact).
-    std::vector<float> delta_lut_;
-    std::vector<float> flag_lut_;
+    // Dense-path hit counts: the interleaved kernel accumulates floats
+    // (sums of 0/1 flags are exact).
     std::vector<float> flag_acc_;
 };
 

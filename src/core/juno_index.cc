@@ -36,9 +36,7 @@ junoPresetL(JunoParams base)
 JunoIndex::JunoIndex(Metric metric, FloatMatrixView points,
                      const JunoParams &params)
     : metric_(metric), num_points_(points.rows()), dim_(points.cols()),
-      params_(params),
-      device_(params.use_rt_core ? rt::ExecMode::kRtCore
-                                 : rt::ExecMode::kCudaFallback)
+      params_(params)
 {
     JUNO_REQUIRE(dim_ % 2 == 0,
                  "JUNO requires an even dimension (2-D subspaces), got "
@@ -102,8 +100,6 @@ JunoIndex::finishConstruction()
     // trained state, so load() rebuilds them instead of storing them.
     interest_.build(ivf_, codes_, params_.pq_entries);
     scene_.build(metric_, pq_, policy_, params_.scene);
-    device_.setMode(params_.use_rt_core ? rt::ExecMode::kRtCore
-                                        : rt::ExecMode::kCudaFallback);
 }
 
 namespace {
@@ -122,8 +118,9 @@ writeParams(Writer &meta, const JunoParams &params)
     meta.writePod<std::int32_t>(
         static_cast<std::int32_t>(params.threshold_mode));
     meta.writePod(params.miss_penalty);
-    meta.writePod<std::uint8_t>(params.use_rt_core ? 1 : 0);
-    meta.writePod<std::uint8_t>(params.pipelined ? 1 : 0);
+    // Once "use RT core" (0/1); LutBackend keeps those two values.
+    meta.writePod<std::uint8_t>(static_cast<std::uint8_t>(params.lut));
+    meta.writePod<std::uint8_t>(0); // retired pipelined knob, always 0
     meta.writePod<std::uint8_t>(1); // retired layout knob, always 1
     meta.writePod<std::int32_t>(params.density_grid);
     meta.writePod<std::int64_t>(params.policy.train_samples);
@@ -153,8 +150,11 @@ readParams(Reader &meta)
                  "corrupt threshold mode tag");
     params.threshold_mode = static_cast<ThresholdMode>(tmode);
     params.miss_penalty = meta.readPod<double>();
-    params.use_rt_core = meta.readPod<std::uint8_t>() != 0;
-    params.pipelined = meta.readPod<std::uint8_t>() != 0;
+    const auto lut = meta.readPod<std::uint8_t>();
+    JUNO_REQUIRE(lut <= static_cast<std::uint8_t>(LutBackend::kCpu),
+                 "corrupt LUT backend tag");
+    params.lut = static_cast<LutBackend>(lut);
+    meta.readPod<std::uint8_t>(); // retired pipelined knob
     meta.readPod<std::uint8_t>(); // retired layout knob
     params.density_grid = meta.readPod<std::int32_t>();
     params.policy.train_samples = meta.readPod<std::int64_t>();
@@ -211,8 +211,7 @@ JunoIndex::spec() const
     spec.setDouble("scale", params_.threshold_scale);
     spec.set("tmode", thresholdModeKey(params_.threshold_mode));
     spec.setDouble("penalty", params_.miss_penalty);
-    spec.setBool("rt", params_.use_rt_core);
-    spec.setBool("pipelined", params_.pipelined);
+    spec.set("lut", lutBackendName(params_.lut));
     spec.setInt("grid", params_.density_grid);
     spec.setInt("psamples", params_.policy.train_samples);
     spec.setInt("prefs", params_.policy.ref_samples);
@@ -328,8 +327,8 @@ JunoIndex::name() const
     n += "(C=" + std::to_string(ivf_.numClusters());
     n += ",E=" + std::to_string(pq_.entries());
     n += ",scale=" + std::to_string(params_.threshold_scale).substr(0, 4);
-    if (!params_.use_rt_core)
-        n += ",noRT";
+    n += ",lut=";
+    n += lutBackendName(params_.lut);
     n += ")";
     return n;
 }
@@ -357,14 +356,6 @@ JunoIndex::setThresholdMode(ThresholdMode mode)
 }
 
 void
-JunoIndex::setUseRtCore(bool use_rt)
-{
-    params_.use_rt_core = use_rt;
-    device_.setMode(use_rt ? rt::ExecMode::kRtCore
-                           : rt::ExecMode::kCudaFallback);
-}
-
-void
 JunoIndex::setMissPenalty(double penalty)
 {
     JUNO_REQUIRE(penalty >= 0.0, "miss_penalty must be non-negative");
@@ -378,6 +369,7 @@ JunoIndex::lutParams() const
     lp.threshold_scale = params_.threshold_scale;
     lp.miss_penalty = params_.miss_penalty;
     lp.inner_gate = params_.mode == SearchMode::kRewardPenalty;
+    lp.backend = params_.lut;
     return lp;
 }
 
@@ -411,14 +403,13 @@ JunoIndex::prefetchProbedLists(const std::vector<Neighbor> &probes) const
 
 /**
  * Per-worker search state: a private RT device (so traversal counters
- * accumulate without contention), the RT-LUT builder and distance
- * calculator bound to it, and the reusable sparse-LUT buffers. Lives
- * in a SearchContext, so it persists across chunks and batches.
+ * accumulate without contention), the LUT builder and distance
+ * calculator bound to it, and the reusable gate LUT. Lives in a
+ * SearchContext, so it persists across chunks and batches.
  */
 struct JunoIndex::Worker {
     explicit Worker(JunoIndex &owner)
-        : device(owner.device_.mode()),
-          builder(owner.scene_, owner.policy_, owner.ivf_, device),
+        : builder(owner.scene_, owner.policy_, owner.ivf_, device),
           calc(owner.ivf_, owner.interest_, owner.interleaved_)
     {
     }
@@ -426,11 +417,8 @@ struct JunoIndex::Worker {
     rt::RtDevice device;
     SelectiveLutBuilder builder;
     DistanceCalculator calc;
-    /** Reused per-query sparse LUT. */
-    SparseLut lut;
-    /** Pipelined mode: per-query intermediates of the current chunk. */
-    std::vector<std::vector<Neighbor>> probes_buf;
-    std::vector<SparseLut> lut_buf;
+    /** Reused per-query gate LUT. */
+    GateLut lut;
 };
 
 void
@@ -438,71 +426,33 @@ JunoIndex::searchChunk(const SearchChunk &chunk, SearchContext &ctx)
 {
     auto &w = ctx.scratch<Worker>(
         [this] { return std::make_unique<Worker>(*this); });
-    // Search-time knobs may have flipped since the worker was created.
-    w.device.setMode(device_.mode());
     const idx_t k = std::min(chunk.k, num_points_);
+    const SelectiveLutParams lut_params = lutParams();
 
-    if (!params_.pipelined) {
-        for (idx_t qi = chunk.begin; qi < chunk.end; ++qi) {
-            const float *q = chunk.queries.row(qi);
-            {
-                StageScope t(ctx, Stage::kFilter);
-                ctx.probes = probe(q, ctx.scaledNprobes(params_.nprobs));
-                // JUNO scores all probed lists in one calculator run,
-                // so the cooperative deadline cuts in before the run:
-                // a query starting past its deadline keeps only the
-                // best cluster — still valid neighbours, just partial.
-                if (ctx.probes.size() > 1 && ctx.pastDeadline()) {
-                    ctx.probes.resize(1);
-                    ctx.markDegraded(qi);
-                }
-                // Cold lists start paging in while the RT-LUT stage
-                // below runs (out-of-core overlap).
-                prefetchProbedLists(ctx.probes);
+    for (idx_t qi = chunk.begin; qi < chunk.end; ++qi) {
+        const float *q = chunk.queries.row(qi);
+        {
+            StageScope t(ctx, Stage::kFilter);
+            ctx.probes = probe(q, ctx.scaledNprobes(params_.nprobs));
+            // JUNO scores all probed lists in one calculator run, so
+            // the cooperative deadline cuts in before the run: a query
+            // starting past its deadline keeps only the best cluster —
+            // still valid neighbours, just partial.
+            if (ctx.probes.size() > 1 && ctx.pastDeadline()) {
+                ctx.probes.resize(1);
+                ctx.markDegraded(qi);
             }
-            {
-                StageScope t(ctx, Stage::kRtLut);
-                w.builder.buildInto(q, ctx.probes, lutParams(), w.lut);
-            }
-            StageScope t(ctx, Stage::kScan);
-            (*chunk.results)[static_cast<std::size_t>(qi)] =
-                w.calc.run(metric_, params_.mode, ctx.probes, w.lut, k);
+            // Cold lists start paging in while the LUT stage below
+            // runs (out-of-core overlap).
+            prefetchProbedLists(ctx.probes);
         }
-    } else {
-        // Pipelined mode: stage 1 = filter + RT LUT (the paper's
-        // RT-core side), stage 2 = distance calculation (the
-        // Tensor-core side), overlapped across the queries of this
-        // chunk. Stages touch disjoint worker members.
-        const auto n = static_cast<std::size_t>(chunk.end - chunk.begin);
-        if (w.probes_buf.size() < n) {
-            w.probes_buf.resize(n);
-            w.lut_buf.resize(n);
+        {
+            StageScope t(ctx, Stage::kRtLut);
+            w.builder.buildInto(q, ctx.probes, lut_params, w.lut);
         }
-        auto stage1 = [&](idx_t i) {
-            const float *q = chunk.queries.row(chunk.begin + i);
-            auto &probes = w.probes_buf[static_cast<std::size_t>(i)];
-            probes = probe(q, ctx.scaledNprobes(params_.nprobs));
-            // Same deadline cut as the unpipelined path; each degraded
-            // slot has this stage as its only writer.
-            if (probes.size() > 1 && ctx.pastDeadline()) {
-                probes.resize(1);
-                ctx.markDegraded(chunk.begin + i);
-            }
-            prefetchProbedLists(probes); // page-ins overlap stage 2
-            w.builder.buildInto(q, probes, lutParams(),
-                                w.lut_buf[static_cast<std::size_t>(i)]);
-        };
-        auto stage2 = [&](idx_t i) {
-            (*chunk.results)[static_cast<std::size_t>(chunk.begin + i)] =
-                w.calc.run(metric_, params_.mode,
-                           w.probes_buf[static_cast<std::size_t>(i)],
-                           w.lut_buf[static_cast<std::size_t>(i)], k);
-        };
-        const auto pipe = runTwoStagePipeline(
-            chunk.end - chunk.begin, stage1, stage2, true);
-        ctx.timers().add(Stage::kRtLut, pipe.stage1_seconds);
-        ctx.timers().add(Stage::kScan, pipe.stage2_seconds);
-        ctx.timers().add(Stage::kPipelineWall, pipe.wall_seconds);
+        StageScope t(ctx, Stage::kScan);
+        (*chunk.results)[static_cast<std::size_t>(qi)] =
+            w.calc.run(metric_, params_.mode, ctx.probes, w.lut, k);
     }
 
     MutexLock lock(stats_mutex_);

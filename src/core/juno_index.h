@@ -11,13 +11,13 @@
  *
  * Online (search):
  *  A. filtering identical to IVFPQ;
- *  B. threshold-based selective LUT construction on the RT device
- *     (rays with dynamic tmax; thit -> score recovery);
- *  C. distance calculation over interested points only, in one of the
- *     three quality presets (JUNO-H / -M / -L).
- *
- * The stage pair (B, C) optionally runs as a two-stage pipeline across
- * query batches, modelling the paper's RT/Tensor core co-run.
+ *  B. threshold-based selective LUT construction: a dense gate LUT
+ *     per probe, filled by the CPU-native SIMD gate (default) or by
+ *     rays on the software RT device (lut=bvh|linear; rays with
+ *     dynamic tmax, thit -> score recovery), whose traversal counters
+ *     the paper's RT cost model prices;
+ *  C. distance calculation over the gate LUT, in one of the three
+ *     quality presets (JUNO-H / -M / -L).
  */
 #ifndef JUNO_CORE_JUNO_INDEX_H
 #define JUNO_CORE_JUNO_INDEX_H
@@ -29,7 +29,6 @@
 #include "core/density_map.h"
 #include "core/distance_calc.h"
 #include "core/interest_index.h"
-#include "core/pipeline.h"
 #include "core/scene_builder.h"
 #include "core/selective_lut.h"
 #include "core/threshold_policy.h"
@@ -50,8 +49,7 @@ struct JunoParams {
     double threshold_scale = 1.0;          ///< user knob (Fig. 7(b))
     ThresholdMode threshold_mode = ThresholdMode::kDynamic;
     double miss_penalty = 1.0;             ///< miss-score multiplier
-    bool use_rt_core = true;               ///< false = linear fallback
-    bool pipelined = false;                ///< overlap LUT and scan
+    LutBackend lut = LutBackend::kCpu;     ///< selective-LUT producer
     int density_grid = 100;                ///< density map resolution
     ThresholdPolicy::Params policy;        ///< regressor training
     JunoScene::Params scene;               ///< sphere radius / BVH
@@ -95,8 +93,7 @@ class JunoIndex : public AnnIndex {
     void setSearchMode(SearchMode mode) { params_.mode = mode; }
     void setThresholdScale(double scale);
     void setThresholdMode(ThresholdMode mode);
-    void setUseRtCore(bool use_rt);
-    void setPipelined(bool pipelined) { params_.pipelined = pipelined; }
+    void setLutBackend(LutBackend backend) { params_.lut = backend; }
     void setMissPenalty(double penalty);
 
     const JunoParams &params() const { return params_; }
@@ -121,17 +118,17 @@ class JunoIndex : public AnnIndex {
     std::vector<Neighbor> probe(const float *query, idx_t nprobs) const;
 
     /**
-     * Gate parameters of the RT pass (stage B) under the current
-     * search knobs, for benches that drive SelectiveLutBuilder over
-     * the component accessors above.
+     * Gate parameters of stage B under the current search knobs, for
+     * benches that drive SelectiveLutBuilder over the component
+     * accessors above.
      */
     SelectiveLutParams lutParams() const;
 
   protected:
     /**
      * Batched path: one Worker (RT device + LUT builder + calculator
-     * + sparse-LUT buffers) lives in each SearchContext, so the RT
-     * pass and scoring run concurrently across chunks; traversal
+     * + gate-LUT buffers) lives in each SearchContext, so the LUT
+     * stage and scoring run concurrently across chunks; traversal
      * counters merge into the canonical device under a mutex.
      */
     void searchChunk(const SearchChunk &chunk, SearchContext &ctx) override;
@@ -155,7 +152,7 @@ class JunoIndex : public AnnIndex {
     /**
      * Issues WILLNEED madvise hints for the probed clusters'
      * interleaved extents when they view a memory-mapped snapshot, so
-     * an out-of-core scan's page-ins overlap the RT-LUT stage that
+     * an out-of-core scan's page-ins overlap the LUT stage that
      * runs between probe and scan. Pure IO hint: no-op on heap-built
      * planes, never affects results.
      */
@@ -181,8 +178,9 @@ class JunoIndex : public AnnIndex {
     ThresholdPolicy policy_;
     JunoScene scene_;
     /**
-     * Canonical RT device: holds the execution mode search workers
-     * copy and the traversal counters they merge in after each chunk.
+     * Canonical RT device: holds the traversal counters the search
+     * workers merge in after each chunk (the LUT builder picks the
+     * execution mode from the backend).
      */
     rt::RtDevice device_;
     /** Serialises the workers' stat merges into device_. */

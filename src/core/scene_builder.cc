@@ -31,6 +31,10 @@ JunoScene::build(Metric metric, const ProductQuantizer &pq,
     max_gate_fraction_ = params.max_gate_fraction;
     coord_scale_.assign(static_cast<std::size_t>(num_subspaces_), 1.0f);
     tmin_.assign(static_cast<std::size_t>(num_subspaces_), 0.0f);
+    entries_ = pq.entries();
+    entry_xy_.assign(2 * static_cast<std::size_t>(num_subspaces_) *
+                         static_cast<std::size_t>(entries_),
+                     0.0f);
     scene_ = rt::Scene();
 
     for (int s = 0; s < num_subspaces_; ++s) {
@@ -61,7 +65,11 @@ JunoScene::build(Metric metric, const ProductQuantizer &pq,
         // Place the spheres of subspace s at z = kZSpacing * s + 1.
         const float z = kZSpacing * static_cast<float>(s) + 1.0f;
         float max_radius = radius_;
+        float *xy = entry_xy_.data() + static_cast<std::size_t>(2 * s) *
+                                           static_cast<std::size_t>(entries_);
         for (idx_t e = 0; e < cb.rows(); ++e) {
+            xy[e] = cb.at(e, 0);
+            xy[entries_ + e] = cb.at(e, 1);
             rt::Sphere sphere;
             sphere.center = {cb.at(e, 0) * kappa, cb.at(e, 1) * kappa, z};
             if (metric == Metric::kL2) {
@@ -124,6 +132,29 @@ JunoScene::gateTmax(int s, float x, float y, double threshold) const
         return 1.0f;
     }
     return static_cast<float>(1.0 - std::sqrt(arg));
+}
+
+float
+JunoScene::gateLimit(int s, float x, float y, double threshold) const
+{
+    const double k = coordScale(s);
+    if (metric_ == Metric::kL2) {
+        if (threshold <= 0.0)
+            return -std::numeric_limits<float>::infinity();
+        // The radius gateTmax clamps, in scaled units, back to original.
+        const double bound =
+            std::min(threshold * k, static_cast<double>(
+                                        radius_ * max_gate_fraction_)) /
+            k;
+        return static_cast<float>(bound * bound);
+    }
+    // disc = R^2 - kappa^2 ||q||^2 + 2 kappa^2 IP >= 0 is the ray
+    // meeting the inflated sphere; thit <= tmax is IP >= threshold.
+    const double qn2 = static_cast<double>(x) * x +
+                       static_cast<double>(y) * y;
+    const double r = radius_;
+    return static_cast<float>(
+        std::max(threshold, 0.5 * (qn2 - r * r / (k * k))));
 }
 
 bool

@@ -108,6 +108,35 @@ class JunoScene {
      */
     float gateTmax(int s, float x, float y, double threshold) const;
 
+    /**
+     * The gate of @p threshold as a bound on the original-unit score,
+     * for the CPU-native LUT backend: the entries it admits are the
+     * spheres the ray of makeRay(s, x, y, threshold) hits, up to
+     * rounding at the boundary.
+     *  - L2: select d^2 <= bound, with bound the square of the radius
+     *    gateTmax clamps, min(threshold, R * max_gate_fraction /
+     *    kappa); -inf (empty gate) when threshold <= 0.
+     *  - IP: select IP >= bound, with bound = max(threshold,
+     *    (||q||^2 - R^2 / kappa^2) / 2): the floor, raised to where
+     *    the ray stops meeting the inflated sphere at all.
+     */
+    float gateLimit(int s, float x, float y, double threshold) const;
+
+    /** Codebook entries per subspace (E). */
+    int entries() const { return entries_; }
+
+    /**
+     * Entry coordinates of subspace @p s in original units, as two
+     * planes of entries() floats (x then y): the CPU gate's input.
+     */
+    const float *
+    entryX(int s) const
+    {
+        return entry_xy_.data() + static_cast<std::size_t>(2 * s) *
+                                      static_cast<std::size_t>(entries_);
+    }
+    const float *entryY(int s) const { return entryX(s) + entries_; }
+
     /** L2^2(entry, projection) in original units from a hit time. */
     float
     lutValueL2(int s, float thit) const
@@ -140,6 +169,9 @@ class JunoScene {
     float max_gate_fraction_ = 0.95f;
     std::vector<float> coord_scale_;
     std::vector<float> tmin_;
+    int entries_ = 0;
+    /** Per subspace: E x coordinates, then E y coordinates. */
+    std::vector<float> entry_xy_;
     rt::Scene scene_;
 };
 

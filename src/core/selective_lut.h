@@ -1,18 +1,30 @@
 /**
  * @file
- * Threshold-based selective L2-LUT construction on the RT substrate
- * (paper Sec. 4.2, Alg. 2).
+ * Threshold-based selective LUT construction (paper Sec. 4.2, Alg. 2).
  *
- * For each probed cluster and each 2-D subspace, a ray is cast from
- * the query's (residual) projection towards the entry spheres of that
- * subspace; tmax encodes the dynamic threshold, and the any-hit shader
- * converts thit to the exact entry/projection score without touching
- * the sphere coordinates. The result is a *sparse* LUT: only entries
- * inside the region of interest carry values.
+ * For each probed cluster and each 2-D subspace, the gate selects the
+ * codebook entries inside the dynamic threshold around the query's
+ * (residual) projection and records their scores. The result is one
+ * dense *gate LUT* per probe: M x E value cells plus selected and
+ * inner flags, which the distance calculator streams directly.
+ *
+ * Three backends produce the same cells (LutBackend):
+ *  - cpu (default): a SIMD distance-and-compare over the E entries of
+ *    each (probe, subspace), the simd::Kernels lut_gate slot;
+ *  - bvh: one ray per (probe, subspace) through the software BVH, tmax
+ *    encoding the threshold and the any-hit shader recovering the
+ *    score from thit without touching the sphere coordinates — the
+ *    RT-core model whose traversal counters the paper figures price;
+ *  - linear: the same rays against every sphere (OptiX's CUDA-core
+ *    fallback on GPUs without RT cores).
+ * The selected sets agree up to rounding at the gate boundary; scores
+ * differ only in how they are rounded (direct d^2 vs recovered from
+ * thit).
  */
 #ifndef JUNO_CORE_SELECTIVE_LUT_H
 #define JUNO_CORE_SELECTIVE_LUT_H
 
+#include <string>
 #include <vector>
 
 #include "common/topk.h"
@@ -23,42 +35,103 @@
 
 namespace juno {
 
-/** One selected entry with its recovered score and hit metadata. */
-struct LutHit {
-    entry_t entry = 0;
-    /** L2^2 or IP score in original units, recovered from thit. */
-    float value = 0.0f;
-    /** Raw hit time (kept for analysis benches). */
-    float thit = 0.0f;
-    /** True when the hit also passes the inner (half) gate (JUNO-M). */
-    bool inner = false;
+/**
+ * Producer of the gate LUT. The values are the snapshot meta byte
+ * that once held "use RT core" (0 = linear fallback, 1 = BVH), so
+ * older snapshots open on the backend they were written with.
+ */
+enum class LutBackend : std::uint8_t {
+    kLinear = 0, ///< rays against every sphere (CUDA-core fallback)
+    kBvh = 1,    ///< rays through the software BVH (RT-core model)
+    kCpu = 2,    ///< dense SIMD gate (default)
 };
 
-/** Sparse per-query LUT produced by the RT pass. */
-struct SparseLut {
-    /**
-     * hits[p][s]: selected entries of subspace s for probe ordinal p.
-     * When shared_across_probes (inner-product mode: the LUT does not
-     * depend on the probed cluster), only hits[0] is populated.
-     */
-    std::vector<std::vector<std::vector<LutHit>>> hits;
-    /** miss_value[p][s]: score assigned to a subspace with no hit. */
-    std::vector<std::vector<float>> miss_value;
+/** Spec-key name of @p backend ("cpu", "bvh", "linear"). */
+const char *lutBackendName(LutBackend backend);
+
+/** Inverse of lutBackendName(); ConfigError on an unknown name. */
+LutBackend parseLutBackend(const std::string &name);
+
+/**
+ * Dense per-query selective LUT. Slab p (one per probe, or a single
+ * slab shared by all probes in inner-product mode, where the LUT does
+ * not depend on the probed cluster) holds M x E cells, row-major by
+ * subspace:
+ *  - delta: score - miss for a selected entry, 0 otherwise, so the
+ *    exact-distance sum over subspaces is one LUT scan plus the sum
+ *    of the misses;
+ *  - flag: 1 for a selected entry, 0 otherwise;
+ *  - inner: 1 for a selected entry that also passes the half gate
+ *    (JUNO-M), 0 otherwise; present only when has_inner.
+ */
+struct GateLut {
+    int subspaces = 0;
+    int entries = 0;
+    bool shared_across_probes = false;
+    bool has_inner = false;
+    std::vector<float> delta;
+    std::vector<float> flag;
+    std::vector<float> inner;
+    /** miss[slab * M + s]: score charged to an unselected entry. */
+    std::vector<float> miss;
+    /** selected[slab]: number of selected cells in the slab. */
+    std::vector<std::size_t> selected;
     /** base[p]: cluster-level score offset (IP centroid term). */
     std::vector<float> base;
-    bool shared_across_probes = false;
 
-    const std::vector<std::vector<LutHit>> &
-    forProbe(std::size_t p) const
+    std::size_t
+    cells() const
     {
-        return hits[shared_across_probes ? 0 : p];
+        return static_cast<std::size_t>(subspaces) *
+               static_cast<std::size_t>(entries);
+    }
+    std::size_t slab(std::size_t p) const
+    {
+        return shared_across_probes ? 0 : p;
+    }
+    const float *deltaFor(std::size_t p) const
+    {
+        return delta.data() + slab(p) * cells();
+    }
+    const float *flagFor(std::size_t p) const
+    {
+        return flag.data() + slab(p) * cells();
+    }
+    /** nullptr when the inner gate was not built. */
+    const float *innerFor(std::size_t p) const
+    {
+        return has_inner ? inner.data() + slab(p) * cells() : nullptr;
+    }
+    float missFor(std::size_t p, int s) const
+    {
+        return miss[slab(p) * static_cast<std::size_t>(subspaces) +
+                    static_cast<std::size_t>(s)];
+    }
+    std::size_t selectedFor(std::size_t p) const
+    {
+        return selected[slab(p)];
     }
 
-    float
-    missFor(std::size_t p, int s) const
+    // Cell accessors for analysis and tests.
+    std::size_t
+    cell(int s, entry_t e) const
     {
-        return miss_value[shared_across_probes ? 0 : p]
-                         [static_cast<std::size_t>(s)];
+        return static_cast<std::size_t>(s) *
+                   static_cast<std::size_t>(entries) +
+               e;
+    }
+    bool isSelected(std::size_t p, int s, entry_t e) const
+    {
+        return flagFor(p)[cell(s, e)] != 0.0f;
+    }
+    bool isInner(std::size_t p, int s, entry_t e) const
+    {
+        return has_inner && innerFor(p)[cell(s, e)] != 0.0f;
+    }
+    /** Score of a selected cell (delta + miss, so within rounding). */
+    float value(std::size_t p, int s, entry_t e) const
+    {
+        return deltaFor(p)[cell(s, e)] + missFor(p, s);
     }
 };
 
@@ -71,11 +144,17 @@ struct SelectiveLutParams {
      * (threshold * penalty)^2, IP misses get the floor value.
      */
     double miss_penalty = 1.0;
-    /** Record the inner half-gate flag (needed by JUNO-M). */
+    /** Build the inner (half) gate plane (needed by JUNO-M). */
     bool inner_gate = true;
+    LutBackend backend = LutBackend::kCpu;
 };
 
-/** Builds sparse LUTs by launching rays on an RtDevice. */
+/**
+ * Builds gate LUTs. Every backend adds to the device's traversal
+ * counters: the ray backends count their traversal; cpu counts one
+ * ray per non-empty gate, E primitive tests per gate and one hit per
+ * selected entry, with no node visits.
+ */
 class SelectiveLutBuilder {
   public:
     /** All referenced objects must outlive the builder. */
@@ -83,31 +162,35 @@ class SelectiveLutBuilder {
                         const InvertedFileIndex &ivf, rt::RtDevice &device);
 
     /**
-     * Runs the RT pass for one query.
+     * Builds the LUT for one query.
      * @param query the raw query vector (D floats);
      * @param probes filtering-stage output (best-first clusters);
-     * @param params scale/penalty knobs.
+     * @param params scale/penalty/backend knobs.
      */
-    SparseLut build(const float *query, const std::vector<Neighbor> &probes,
-                    const SelectiveLutParams &params) const;
+    GateLut build(const float *query, const std::vector<Neighbor> &probes,
+                  const SelectiveLutParams &params) const;
 
     /**
      * Allocation-free variant: fills @p out in place, reusing its
-     * nested buffers (the search hot path calls this once per query).
+     * buffers (the search hot path calls this once per query).
      */
     void buildInto(const float *query, const std::vector<Neighbor> &probes,
-                   const SelectiveLutParams &params, SparseLut &out) const;
+                   const SelectiveLutParams &params, GateLut &out) const;
 
   private:
     /** Per-ray context addressed by the ray payload. */
     struct RayCtx {
-        std::uint32_t probe = 0;
+        std::uint32_t slab = 0;
         std::int32_t subspace = 0;
+        float miss = 0.0f;
         /** ||scaled origin xy||^2; inverts thit into an IP. */
         float qnorm_scaled_sqr = 0.0f;
         /** Inner (half) gate in thit units (JUNO-M reward sphere). */
         float tmax_inner = 0.0f;
     };
+
+    /** Ray backends: casts the gathered rays, writes hit cells. */
+    void traceRays(LutBackend backend, GateLut &lut) const;
 
     const JunoScene &scene_;
     const ThresholdPolicy &policy_;

@@ -94,7 +94,7 @@ std::unique_ptr<AnnIndex>
 buildJuno(Metric metric, FloatMatrixView points, const IndexSpec &spec)
 {
     spec.requireKnown({"nlist", "entries", "nprobe", "mode", "scale",
-                       "tmode", "penalty", "rt", "pipelined", "grid",
+                       "tmode", "penalty", "lut", "grid",
                        "psamples", "prefs", "ptopk", "pdeg", "radius",
                        "gatefrac", "seed", "train"});
     JunoParams params;
@@ -105,8 +105,7 @@ buildJuno(Metric metric, FloatMatrixView points, const IndexSpec &spec)
     params.threshold_scale = spec.getDouble("scale", 1.0);
     params.threshold_mode = parseThresholdMode(spec.get("tmode", "dyn"));
     params.miss_penalty = spec.getDouble("penalty", 1.0);
-    params.use_rt_core = spec.getBool("rt", true);
-    params.pipelined = spec.getBool("pipelined", false);
+    params.lut = parseLutBackend(spec.get("lut", "cpu"));
     params.density_grid = static_cast<int>(spec.getInt("grid", 100));
     params.policy.train_samples = spec.getInt("psamples", 200);
     params.policy.ref_samples = spec.getInt("prefs", 4000);

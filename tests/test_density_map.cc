@@ -1,6 +1,8 @@
 /** @file Tests for the per-subspace density map. */
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/logging.h"
 #include "common/rng.h"
 #include "core/density_map.h"
@@ -74,6 +76,30 @@ TEST(SubspaceDensity, QueriesOutsideBoxClampToEdgeCells)
     // Far outside queries land in boundary cells, not UB.
     EXPECT_GE(map.densityAt(-100.0f, -100.0f), 0.0);
     EXPECT_GE(map.densityAt(100.0f, 100.0f), 0.0);
+}
+
+TEST(SubspaceDensity, NonFiniteAndHugeCoordinatesClampWithoutOverflow)
+{
+    // Corner cells of a 2x2 grid hold distinct counts, so each lookup
+    // proves which cell it landed in: 1e30 must not overflow the int
+    // cast (UB), and NaN maps to cell 0.
+    FloatMatrix pts(6, 2);
+    const float coords[6][2] = {{0.1f, 0.1f}, {0.9f, 0.1f}, {0.9f, 0.1f},
+                                {0.1f, 0.9f}, {0.1f, 0.9f}, {0.1f, 0.9f}};
+    for (idx_t i = 0; i < 6; ++i) {
+        pts.at(i, 0) = coords[i][0];
+        pts.at(i, 1) = coords[i][1];
+    }
+    SubspaceDensity map;
+    map.build(pts.view(), 2);
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    EXPECT_EQ(map.countAt(-1e30f, -1e30f), 1);
+    EXPECT_EQ(map.countAt(1e30f, -1e30f), 2);
+    EXPECT_EQ(map.countAt(-1e30f, 1e30f), 3);
+    EXPECT_EQ(map.countAt(1e30f, 1e30f), 0);
+    EXPECT_EQ(map.countAt(nan, nan), 1);
+    EXPECT_EQ(map.countAt(1e30f, nan), 2);
+    EXPECT_EQ(map.countAt(nan, 1e30f), 3);
 }
 
 TEST(SubspaceDensity, RejectsBadInput)

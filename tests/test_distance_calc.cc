@@ -1,4 +1,4 @@
-/** @file Tests for the sparse distance-calculation stage. */
+/** @file Tests for the distance-calculation stage over the gate LUT. */
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -84,7 +84,7 @@ TEST(DistanceCalc, ExactModeScoresMatchSparseAccumulation)
                                      probes, lut, 20);
     ASSERT_FALSE(result.empty());
 
-    // Recompute one result's score by hand from the sparse LUT.
+    // Recompute one result's score by hand from the gate LUT.
     const idx_t pid = result[0].id;
     const cluster_t c = fx.ivf.label(pid);
     std::size_t probe_ord = probes.size();
@@ -96,17 +96,9 @@ TEST(DistanceCalc, ExactModeScoresMatchSparseAccumulation)
     float expect = 0.0f;
     for (int s = 0; s < 4; ++s) {
         const entry_t code = fx.codes.at(pid, s);
-        bool found = false;
-        for (const auto &hit :
-             lut.hits[probe_ord][static_cast<std::size_t>(s)]) {
-            if (hit.entry == code) {
-                expect += hit.value;
-                found = true;
-                break;
-            }
-        }
-        if (!found)
-            expect += lut.missFor(probe_ord, s);
+        expect += lut.isSelected(probe_ord, s, code)
+                      ? lut.value(probe_ord, s, code)
+                      : lut.missFor(probe_ord, s);
     }
     EXPECT_NEAR(result[0].score, expect, 1e-3f * (1.0f + expect));
 }
@@ -210,10 +202,11 @@ TEST(DistanceCalc, ScoreClusterExposesPerClusterScores)
 
 TEST(DistanceCalc, DenseInterleavedPathBitwiseEqualsSparseWalk)
 {
-    // The dense path expands the sparse hits into a delta LUT and
-    // streams the interleaved codes; it must reproduce the sparse
-    // interest-index walk bit for bit (same candidates, same scores,
-    // same order) in every mode, at every dispatch level.
+    // The dense path streams the interleaved codes against the gate
+    // LUT's planes; it must reproduce the sparse interest-index walk
+    // over the flagged entries bit for bit (same candidates, same
+    // scores, same order) in every mode, for the LUT of every
+    // backend, at every dispatch level.
     Fixture fx;
     struct LevelGuard {
         simd::Level saved = simd::level();
@@ -230,6 +223,7 @@ TEST(DistanceCalc, DenseInterleavedPathBitwiseEqualsSparseWalk)
         const auto probes = fx.ivf.probe(Metric::kL2, q, 4);
         SelectiveLutParams lp;
         lp.inner_gate = true;
+        lp.backend = qi % 2 == 0 ? LutBackend::kCpu : LutBackend::kBvh;
         const auto lut = fx.builder->build(q, probes, lp);
         for (SearchMode mode :
              {SearchMode::kExactDistance, SearchMode::kHitCount,

@@ -150,30 +150,68 @@ TEST(JunoIndex, InnerProductSearchWorks)
     EXPECT_GE(recall1AtK(gt, results), 0.5);
 }
 
-TEST(JunoIndex, RtAndFallbackGiveSameResults)
+TEST(JunoIndex, BvhAndLinearFallbackGiveSameResults)
 {
+    // Same rays and shader, different traversal: bitwise-equal LUTs.
     const auto ds = makeData(Metric::kL2);
     JunoIndex index(Metric::kL2, ds.base.view(),
                     junoPresetH(smallParams()));
+    index.setLutBackend(LutBackend::kBvh);
     const auto rt_results = index.search(ds.queries.view(), 20);
-    index.setUseRtCore(false);
+    index.setLutBackend(LutBackend::kLinear);
     const auto fb_results = index.search(ds.queries.view(), 20);
-    for (std::size_t q = 0; q < rt_results.size(); ++q) {
-        ASSERT_EQ(rt_results[q].size(), fb_results[q].size());
-        for (std::size_t i = 0; i < rt_results[q].size(); ++i)
-            EXPECT_EQ(rt_results[q][i].id, fb_results[q][i].id);
-    }
+    EXPECT_EQ(rt_results, fb_results);
 }
 
-TEST(JunoIndex, PipelinedMatchesSequentialResults)
+/**
+ * Recall of the CPU gate against the BVH rays over 1000 queries: the
+ * selected sets agree up to boundary ties and the scores up to
+ * rounding, so recall must agree within 0.001 (one query).
+ */
+void
+expectCpuRecallMatchesBvh(Metric metric, SearchMode mode)
 {
-    const auto ds = makeData(Metric::kL2);
-    JunoIndex index(Metric::kL2, ds.base.view(),
-                    junoPresetH(smallParams()));
-    const auto seq = index.search(ds.queries.view(), 15);
-    index.setPipelined(true);
-    const auto pipe = index.search(ds.queries.view(), 15);
-    EXPECT_EQ(seq, pipe);
+    SyntheticSpec spec;
+    spec.kind = metric == Metric::kL2 ? DatasetKind::kDeepLike
+                                      : DatasetKind::kTtiLike;
+    spec.num_points = 3000;
+    spec.num_queries = 1000;
+    spec.dim = 16;
+    spec.components = 16;
+    spec.seed = 89;
+    const auto ds = makeDataset(spec);
+    auto params = smallParams();
+    params.mode = mode;
+    params.nprobs = 8;
+    JunoIndex index(metric, ds.base.view(), params);
+    const auto gt = computeGroundTruth(metric, ds.base.view(),
+                                       ds.queries.view(), 10);
+    index.device().resetStats();
+    const auto cpu = index.search(ds.queries.view(), 10);
+    const auto cpu_hits = index.rtStats().hits;
+    index.setLutBackend(LutBackend::kBvh);
+    index.device().resetStats();
+    const auto bvh = index.search(ds.queries.view(), 10);
+    const auto bvh_hits = index.rtStats().hits;
+    EXPECT_NEAR(recallMAtK(gt, cpu, 10), recallMAtK(gt, bvh, 10), 1e-3)
+        << metricName(metric) << " " << searchModeName(mode);
+    EXPECT_NEAR(recall1AtK(gt, cpu), recall1AtK(gt, bvh), 1e-3);
+    // Same selections, up to a handful of boundary ties.
+    EXPECT_NEAR(static_cast<double>(cpu_hits),
+                static_cast<double>(bvh_hits),
+                1e-4 * static_cast<double>(bvh_hits) + 2.0);
+}
+
+TEST(JunoIndex, CpuGateRecallMatchesBvhL2)
+{
+    expectCpuRecallMatchesBvh(Metric::kL2, SearchMode::kExactDistance);
+    expectCpuRecallMatchesBvh(Metric::kL2, SearchMode::kRewardPenalty);
+}
+
+TEST(JunoIndex, CpuGateRecallMatchesBvhIp)
+{
+    expectCpuRecallMatchesBvh(Metric::kInnerProduct,
+                              SearchMode::kExactDistance);
 }
 
 TEST(JunoIndex, StageTimersPopulated)

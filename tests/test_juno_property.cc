@@ -51,19 +51,19 @@ shared()
     return data;
 }
 
-using Config = std::tuple<Metric, SearchMode, bool /*use_rt*/>;
+using Config = std::tuple<Metric, SearchMode, LutBackend>;
 
 class JunoConfigSweep : public ::testing::TestWithParam<Config> {
   protected:
     static JunoParams
-    params(SearchMode mode, bool use_rt)
+    params(SearchMode mode, LutBackend lut)
     {
         JunoParams p;
         p.clusters = 16;
         p.pq_entries = 32;
         p.nprobs = 8;
         p.mode = mode;
-        p.use_rt_core = use_rt;
+        p.lut = lut;
         p.density_grid = 30;
         p.policy.train_samples = 60;
         p.policy.ref_samples = 800;
@@ -74,13 +74,13 @@ class JunoConfigSweep : public ::testing::TestWithParam<Config> {
 
 TEST_P(JunoConfigSweep, WellFormedDeterministicAndSane)
 {
-    const auto [metric, mode, use_rt] = GetParam();
+    const auto [metric, mode, lut] = GetParam();
     auto &data = shared();
     const Dataset &ds =
         metric == Metric::kL2 ? data.l2_data : data.ip_data;
     const GroundTruth &gt = metric == Metric::kL2 ? data.l2_gt : data.ip_gt;
 
-    JunoIndex index(metric, ds.base.view(), params(mode, use_rt));
+    JunoIndex index(metric, ds.base.view(), params(mode, lut));
     const auto first = index.search(ds.queries.view(), 50);
     const auto second = index.search(ds.queries.view(), 50);
 
@@ -123,12 +123,12 @@ configName(const ::testing::TestParamInfo<Config> &info)
 {
     const Metric metric = std::get<0>(info.param);
     const SearchMode mode = std::get<1>(info.param);
-    const bool use_rt = std::get<2>(info.param);
+    const LutBackend lut = std::get<2>(info.param);
     std::string name = metric == Metric::kL2 ? "L2" : "IP";
     name += mode == SearchMode::kExactDistance      ? "_H"
             : mode == SearchMode::kRewardPenalty ? "_M"
                                                  : "_L";
-    name += use_rt ? "_bvh" : "_linear";
+    name += std::string("_") + lutBackendName(lut);
     return name;
 }
 
@@ -139,7 +139,8 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(SearchMode::kExactDistance,
                           SearchMode::kRewardPenalty,
                           SearchMode::kHitCount),
-        ::testing::Values(true, false)),
+        ::testing::Values(LutBackend::kCpu, LutBackend::kBvh,
+                          LutBackend::kLinear)),
     configName);
 
 /** Scale sweep: RT hits must be monotone in the threshold scale. */

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "baseline/ivfflat_index.h"
+#include "core/juno_index.h"
 #include "dataset/synthetic.h"
 #include "registry/index_factory.h"
 #include "serve/search_service.h"
@@ -132,6 +133,53 @@ TEST(Persistence, JunoRoundTrips)
                     "grid=30,psamples=60,prefs=800,ptopk=40");
 }
 
+TEST(Persistence, JunoLutBackendRoundTrips)
+{
+    // The backend is a spec key and a snapshot meta byte: both must
+    // restore it, and each backend must search identically after the
+    // round trip.
+    for (const char *lut : {"cpu", "bvh", "linear"}) {
+        const std::string spec =
+            std::string("juno:nlist=16,entries=32,nprobe=6,grid=30,"
+                        "psamples=60,prefs=800,ptopk=40,lut=") +
+            lut;
+        expectRoundTrip(Metric::kL2, spec);
+        const auto ds = makeData(Metric::kL2);
+        const auto index = buildIndex(Metric::kL2, ds.base.view(), spec);
+        EXPECT_EQ(IndexSpec::parse(index->spec()).get("lut", ""), lut);
+        EXPECT_NE(index->name().find(std::string("lut=") + lut),
+                  std::string::npos);
+    }
+    // Default: the CPU-native gate.
+    const auto ds = makeData(Metric::kL2);
+    const auto index =
+        buildIndex(Metric::kL2, ds.base.view(), "juno:nlist=16,entries=32");
+    EXPECT_EQ(IndexSpec::parse(index->spec()).get("lut", ""), "cpu");
+}
+
+TEST(Persistence, JunoMetaByteOneOpensAsBvh)
+{
+    // Older builds stored "use RT core" in the byte that now holds the
+    // backend, 1 by default. A lut=bvh build writes that same byte, so
+    // its snapshot stands in for theirs: it must open on the BVH
+    // backend and search bitwise like a fresh lut=bvh build.
+    const auto ds = makeData(Metric::kL2);
+    const std::string spec =
+        "juno:nlist=16,entries=32,nprobe=6,grid=30,psamples=60,"
+        "prefs=800,ptopk=40,lut=bvh";
+    auto built = buildIndex(Metric::kL2, ds.base.view(), spec);
+    const auto path = tempPath("metabyte.juno");
+    built->save(path);
+    auto reopened = openIndex(path);
+    auto *juno = dynamic_cast<JunoIndex *>(reopened.get());
+    ASSERT_NE(juno, nullptr);
+    EXPECT_EQ(juno->params().lut, LutBackend::kBvh);
+    auto fresh = buildIndex(Metric::kL2, ds.base.view(), spec);
+    EXPECT_EQ(searchWith(*reopened, ds.queries.view(), 20, 2),
+              searchWith(*fresh, ds.queries.view(), 20, 2));
+    std::remove(path.c_str());
+}
+
 TEST(Persistence, RtExactRoundTrips)
 {
     expectRoundTrip(Metric::kL2, "rtexact");
@@ -195,10 +243,15 @@ TEST(Persistence, UnknownSpecTypeRejected)
     EXPECT_THROW(
         buildIndex(Metric::kL2, ds.base.view(), "ivfflat:bogus=1"),
         ConfigError);
-    // The interleaved layout is unconditional; the old knob is gone.
+    // Retired knobs fail requireKnown: the interleaved layout is
+    // unconditional, the pipelined executor is gone, and "rt" became
+    // "lut". An unknown backend name is rejected too.
     for (const char *spec :
          {"ivfpq:nlist=16,m=6,entries=32,nprobe=4,interleaved=0",
-          "juno:nlist=16,entries=32,nprobe=6,interleaved=1"})
+          "juno:nlist=16,entries=32,nprobe=6,interleaved=1",
+          "juno:nlist=16,entries=32,nprobe=6,pipelined=0",
+          "juno:nlist=16,entries=32,nprobe=6,rt=1",
+          "juno:nlist=16,entries=32,nprobe=6,lut=rt"})
         EXPECT_THROW(buildIndex(Metric::kL2, ds.base.view(), spec),
                      ConfigError)
             << spec;

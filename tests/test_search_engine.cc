@@ -139,7 +139,7 @@ TEST(SearchEngine, JunoDeterministicAcrossThreads)
     expectDeterministic(index, ds, 10);
 }
 
-TEST(SearchEngine, JunoPipelinedDeterministicAcrossThreads)
+TEST(SearchEngine, JunoBvhDeterministicAcrossThreads)
 {
     const auto ds = smallDataset();
     JunoParams params = junoPresetH();
@@ -150,7 +150,7 @@ TEST(SearchEngine, JunoPipelinedDeterministicAcrossThreads)
     params.policy.train_samples = 40;
     params.policy.ref_samples = 300;
     params.policy.contain_topk = 20;
-    params.pipelined = true;
+    params.lut = LutBackend::kBvh;
     JunoIndex index(ds.metric, ds.base.view(), params);
     expectDeterministic(index, ds, 10);
 }

@@ -1,14 +1,15 @@
 /**
  * @file
  * Tests of the SIMD kernel layer: every dispatched kernel must match
- * the scalar reference (bitwise for the ADC gather and candidate
- * compaction, 1e-4 relative for float reductions) across odd
- * dimensions, and flipping the dispatch level must not change the
- * top-k ids an index returns.
+ * the scalar reference (bitwise for the ADC gather, candidate
+ * compaction and the selective-LUT gate, 1e-4 relative for float
+ * reductions) across odd dimensions, and flipping the dispatch level
+ * must not change the top-k ids an index returns.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "baseline/flat_index.h"
@@ -196,6 +197,72 @@ TEST(Simd, CompactCandidatesBitwiseIdenticalAcrossTables)
     ASSERT_EQ(ref.size(), got.size());
     for (std::size_t i = 0; i < ref.size(); ++i)
         EXPECT_EQ(ref[i], got[i]) << "candidate " << i;
+}
+
+TEST(Simd, LutGateBitwiseIdenticalAcrossTables)
+{
+    // Every supported tier must write the scalar table's cells bit for
+    // bit: vector bodies, tails, entries exactly on the bound, NaN
+    // coordinates (never selected), both metrics, inner plane on/off.
+    std::vector<simd::Level> levels;
+    for (simd::Level l : {simd::Level::kAvx2, simd::Level::kAvx512})
+        if (simd::supported(l))
+            levels.push_back(l);
+    const auto &scalar = simd::table(simd::Level::kScalar);
+    Rng rng(21);
+    for (const std::size_t n : {1u, 7u, 16u, 37u, 256u}) {
+        auto ex = randomVec(rng, n);
+        auto ey = randomVec(rng, n);
+        if (n > 5) {
+            ex[5] = std::nanf("");
+            ey[n - 1] = std::nanf("");
+        }
+        for (const bool ip : {false, true}) {
+            for (const bool with_inner : {false, true}) {
+                simd::LutGate gate;
+                gate.x = 0.25f;
+                gate.y = -0.5f;
+                gate.inner_product = ip;
+                // Entry 0 sits exactly on the bound: selected (<= / >=).
+                const float dx = gate.x - ex[0], dy = gate.y - ey[0];
+                gate.limit = ip ? gate.x * ex[0] + gate.y * ey[0]
+                                : dx * dx + dy * dy;
+                gate.inner_limit = ip ? gate.limit + 0.3f
+                                      : gate.limit * 0.5f;
+                gate.miss = ip ? gate.limit : gate.limit * 1.5f;
+                std::vector<float> delta(n, -7.0f), flag(n, -7.0f),
+                    inner(n, -7.0f);
+                const std::size_t count = scalar.lut_gate(
+                    gate, ex.data(), ey.data(), n, delta.data(),
+                    flag.data(), with_inner ? inner.data() : nullptr);
+                EXPECT_EQ(flag[0], 1.0f);
+                std::size_t flagged = 0;
+                for (std::size_t e = 0; e < n; ++e)
+                    flagged += flag[e] != 0.0f ? 1 : 0;
+                EXPECT_EQ(count, flagged);
+                if (n > 5) {
+                    EXPECT_EQ(flag[5], 0.0f); // NaN coordinate
+                }
+                for (simd::Level level : levels) {
+                    SCOPED_TRACE(simd::levelName(level));
+                    std::vector<float> d2(n, 7.0f), f2(n, 7.0f),
+                        i2(n, -7.0f);
+                    EXPECT_EQ(simd::table(level).lut_gate(
+                                  gate, ex.data(), ey.data(), n, d2.data(),
+                                  f2.data(),
+                                  with_inner ? i2.data() : nullptr),
+                              count);
+                    EXPECT_EQ(0, std::memcmp(delta.data(), d2.data(),
+                                             n * sizeof(float)))
+                        << "n=" << n << " ip=" << ip;
+                    EXPECT_EQ(0, std::memcmp(flag.data(), f2.data(),
+                                             n * sizeof(float)));
+                    EXPECT_EQ(0, std::memcmp(inner.data(), i2.data(),
+                                             n * sizeof(float)));
+                }
+            }
+        }
+    }
 }
 
 TEST(Simd, LevelKnobsRoundTrip)

@@ -87,7 +87,7 @@ TEST(StageTimers, ZeroAddStillRecordsTheStage)
 TEST(StageTimers, ResetClearsEverything)
 {
     StageTimers timers;
-    timers.add(Stage::kPipelineWall, 1.0);
+    timers.add(Stage::kRtExact, 1.0);
     timers.reset();
     EXPECT_TRUE(timers.names().empty());
     EXPECT_DOUBLE_EQ(timers.totalSeconds(), 0.0);
